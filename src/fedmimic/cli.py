@@ -303,11 +303,11 @@ def build_mimic_clients(train: Dataset, cfg: dict) -> list[MimicClient]:
         chunk = len(public) // n_clients
         if chunk < 1:
             raise ValueError(f"public pool too small for {n_clients} clients")
+        truth = public.truth_for_diagnostics()
         for cid, shard in enumerate(shards):
             sl = slice(cid * chunk, (cid + 1) * chunk)
             clients.append(MimicClient(cid, shard,
-                                       PublicSet(public.X[sl],
-                                                 public._truth[sl])))
+                                       PublicSet(public.X[sl], truth[sl])))
     else:
         clients = [MimicClient(cid, shard, public)
                    for cid, shard in enumerate(shards)]

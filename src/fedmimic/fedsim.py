@@ -83,14 +83,16 @@ def fedavg(models: list[ModelParams],
     w = w / w.sum()
     ref = models[0]
     for m in models[1:]:
-        for a, b in zip(ref.weights, m.weights):
-            if a.shape != b.shape:
-                raise ValueError(f"model shape mismatch: {a.shape} vs {b.shape}")
-    avg_w = [sum(wi * m.weights[k] for wi, m in zip(w, models))
-             for k in range(len(ref.weights))]
-    avg_b = [sum(wi * m.biases[k] for wi, m in zip(w, models))
-             for k in range(len(ref.biases))]
-    return ModelParams(avg_w, avg_b, list(ref.activations))
+        if m.dims != ref.dims:
+            raise ValueError(f"model shape mismatch: {ref.dims} vs {m.dims}")
+    # left fold in list order, starting from zeros: the order a per-layer
+    # sum() over the models adds in, so the bits match it
+    avg = np.zeros_like(ref.buf)
+    term = np.empty_like(ref.buf)
+    for wi, m in zip(w, models):
+        np.multiply(wi, m.buf, out=term)
+        avg += term
+    return ref.like(avg)
 
 
 def test_accuracy(model: ModelParams, test: Dataset) -> float:

@@ -39,9 +39,13 @@ def pseudo_label_agreement(pseudo: list[np.ndarray]) -> float:
     """Fraction of (client, sample) pseudo-labels that match the per-sample
     majority label across clients (ties go to the lowest label)."""
     stack = np.stack(pseudo)
-    if stack.shape[1] == 0:
+    n = stack.shape[1]
+    if n == 0:
         return 1.0
-    counts = np.apply_along_axis(np.bincount, 0, stack, minlength=5)
+    classes = int(stack.max()) + 1
+    # votes per (class, sample), counted in one bincount over class*n + sample
+    counts = np.bincount((stack * n + np.arange(n)).ravel(),
+                         minlength=classes * n).reshape(classes, n)
     majority = counts.argmax(axis=0)
     return float((stack == majority).mean())
 

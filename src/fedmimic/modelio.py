@@ -3,7 +3,8 @@
 Layout (little-endian): magic "FMIM1", uint32 layer count, uint8 loss id
 (0=mae, 1=xent), then per layer uint32 in_dim, uint32 out_dim, uint8
 activation id (0=relu, 1=softmax); then per layer the row-major float32
-weight matrix followed by the float32 bias vector.
+weight matrix followed by the float32 bias vector. That payload is
+`ModelParams.buf` in float32.
 """
 
 from __future__ import annotations
@@ -12,12 +13,16 @@ import struct
 
 import numpy as np
 
-from .nn import LOSS_MAE, LOSS_XENT, ModelParams
+from .nn import LOSS_MAE, LOSS_XENT, RELU, SOFTMAX, ModelParams
 
 MAGIC = b"FMIM1"
 
 _LOSS_IDS = {LOSS_MAE: 0, LOSS_XENT: 1}
 _LOSS_NAMES = {v: k for k, v in _LOSS_IDS.items()}
+_ACTIVATIONS = (RELU, SOFTMAX)
+
+_HEAD = struct.Struct("<IB")     # layer count, loss id
+_LAYER = struct.Struct("<IIB")   # in_dim, out_dim, activation id
 
 
 class ModelFormatError(Exception):
@@ -27,12 +32,10 @@ class ModelFormatError(Exception):
 def save_model(model: ModelParams, path, loss_kind: str = LOSS_MAE):
     with open(path, "wb") as f:
         f.write(MAGIC)
-        f.write(struct.pack("<IB", len(model.weights), _LOSS_IDS[loss_kind]))
-        for w, act in zip(model.weights, model.activations):
-            f.write(struct.pack("<IIB", w.shape[1], w.shape[0], act))
-        for w, b in zip(model.weights, model.biases):
-            f.write(np.ascontiguousarray(w, dtype="<f4").tobytes())
-            f.write(np.ascontiguousarray(b, dtype="<f4").tobytes())
+        f.write(_HEAD.pack(len(model.dims), _LOSS_IDS[loss_kind]))
+        for (in_d, out_d), act in zip(model.dims, model.activations):
+            f.write(_LAYER.pack(in_d, out_d, act))
+        f.write(model.buf.astype("<f4").tobytes())
 
 
 def load_model(path) -> tuple[ModelParams, str]:
@@ -41,26 +44,34 @@ def load_model(path) -> tuple[ModelParams, str]:
     if data[:5] != MAGIC:
         raise ModelFormatError(f"bad magic in {path}: expected {MAGIC!r}, "
                                f"got {data[:5]!r}")
-    off = 5
-    n_layers, loss_id = struct.unpack_from("<IB", data, off)
-    off += 5
+    off = len(MAGIC)
+    if len(data) < off + _HEAD.size:
+        raise ModelFormatError(f"truncated header in {path}")
+    n_layers, loss_id = _HEAD.unpack_from(data, off)
+    off += _HEAD.size
     if loss_id not in _LOSS_NAMES:
         raise ModelFormatError(f"unknown loss id {loss_id} in {path}")
+    if n_layers == 0:
+        raise ModelFormatError(f"no layers in {path}")
+    if len(data) < off + n_layers * _LAYER.size:
+        raise ModelFormatError(f"truncated header in {path}: "
+                               f"{n_layers} layers declared")
     dims, acts = [], []
-    for _ in range(n_layers):
-        in_d, out_d, act = struct.unpack_from("<IIB", data, off)
-        off += 9
+    for k in range(n_layers):
+        in_d, out_d, act = _LAYER.unpack_from(data, off)
+        off += _LAYER.size
+        if act not in _ACTIVATIONS:
+            raise ModelFormatError(f"unknown activation id {act} in layer {k} "
+                                   f"of {path}")
+        if dims and in_d != dims[-1][1]:
+            raise ModelFormatError(f"layer {k} input dim {in_d} does not match "
+                                   f"layer {k - 1} output dim {dims[-1][1]} "
+                                   f"in {path}")
         dims.append((in_d, out_d))
         acts.append(act)
-    weights, biases = [], []
-    for in_d, out_d in dims:
-        n = out_d * in_d
-        w = np.frombuffer(data, dtype="<f4", count=n, offset=off)
-        off += 4 * n
-        b = np.frombuffer(data, dtype="<f4", count=out_d, offset=off)
-        off += 4 * out_d
-        weights.append(w.reshape(out_d, in_d).astype(np.float64))
-        biases.append(b.astype(np.float64))
-    if off != len(data):
-        raise ModelFormatError(f"trailing bytes in {path}")
-    return ModelParams(weights, biases, acts), _LOSS_NAMES[loss_id]
+    n = sum(o * i + o for i, o in dims)
+    if len(data) - off != 4 * n:
+        raise ModelFormatError(f"payload of {len(data) - off} bytes in {path}, "
+                               f"layer dims need {4 * n}")
+    buf = np.frombuffer(data, dtype="<f4", count=n, offset=off)
+    return ModelParams(dims, acts, buf.astype(np.float64)), _LOSS_NAMES[loss_id]

@@ -4,7 +4,7 @@ seed and operates on plain numpy arrays (float64)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,28 +18,48 @@ LOSS_XENT = "xent"
 _P_MIN = 1e-12
 
 
-@dataclass
 class ModelParams:
-    """Dense MLP parameters. weights[k] has shape (out, in); biases[k] (out,)."""
+    """Dense MLP parameters in one contiguous float64 vector `buf`, laid out
+    W0,b0,W1,b1,... (the .fmim payload order). `dims[k]` is layer k's
+    (in, out); weights[k] (out, in) and biases[k] (out,) are views into `buf`,
+    so writing through them writes the vector."""
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    activations: list[int] = field(default_factory=list)
+    def __init__(self, dims, activations, buf: np.ndarray | None = None):
+        self.dims = [(int(i), int(o)) for i, o in dims]
+        self.activations = list(activations)
+        size = sum(o * i + o for i, o in self.dims)
+        if buf is None:
+            buf = np.zeros(size)
+        if buf.shape != (size,) or buf.dtype != np.float64:
+            raise ValueError(f"parameter vector {buf.dtype}{buf.shape} does not "
+                             f"fit layer dims {self.dims}")
+        self.buf = buf
+        self.weights, self.biases = [], []
+        off = 0
+        for i, o in self.dims:
+            self.weights.append(buf[off:off + o * i].reshape(o, i))
+            off += o * i
+            self.biases.append(buf[off:off + o])
+            off += o
+
+    def like(self, buf: np.ndarray) -> "ModelParams":
+        """The same layer layout over another flat vector (e.g. a gradient)."""
+        return ModelParams(self.dims, self.activations, buf)
 
     @property
     def input_dim(self) -> int:
-        return self.weights[0].shape[1]
+        return self.dims[0][0]
 
     @property
     def num_classes(self) -> int:
-        return self.weights[-1].shape[0]
+        return self.dims[-1][1]
 
     def copy(self) -> "ModelParams":
-        return ModelParams([w.copy() for w in self.weights],
-                           [b.copy() for b in self.biases],
-                           list(self.activations))
+        return self.like(self.buf.copy())
 
     def check_finite(self):
+        if np.isfinite(self.buf).all():
+            return
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise FloatingPointError(f"non-finite parameters in layer {k}")
@@ -47,18 +67,20 @@ class ModelParams:
 
 @dataclass
 class AdamState:
-    m_w: list[np.ndarray]
-    v_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_b: list[np.ndarray]
+    """First and second moment estimates, flat in the parameter layout."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
+    # adam_step's two temporaries, kept so that a step allocates nothing
+    temps: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.temps = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
     def zeros_like(cls, model: ModelParams) -> "AdamState":
-        return cls(m_w=[np.zeros_like(w) for w in model.weights],
-                   v_w=[np.zeros_like(w) for w in model.weights],
-                   m_b=[np.zeros_like(b) for b in model.biases],
-                   v_b=[np.zeros_like(b) for b in model.biases])
+        return cls(m=np.zeros_like(model.buf), v=np.zeros_like(model.buf))
 
 
 @dataclass
@@ -98,13 +120,13 @@ def init_model(input_dim: int, hidden: int = 256, classes: int = 5,
                          f"input_dim={input_dim} hidden={hidden} classes={classes}")
     rng = np.random.default_rng(seed)
     dims = [input_dim, hidden, hidden, classes]
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+    model = ModelParams(zip(dims[:-1], dims[1:]),
+                        [RELU] * (len(dims) - 2) + [SOFTMAX])
+    for w in model.weights:
+        fan_out, fan_in = w.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    acts = [RELU] * (len(weights) - 1) + [SOFTMAX]
-    return ModelParams(weights, biases, acts)
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return model
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -113,34 +135,52 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _forward_cached(model, batch, dropout_rate, rng, training):
-    """Forward pass keeping pre-activations and dropout masks for backprop."""
+class Workspace:
+    """Arrays the forward and backward passes write into: the flat gradient
+    and, per layer, the activations, dropout masks and back-propagated errors
+    of a batch of up to `rows` rows (a shorter batch uses the leading rows).
+    train_local reuses one across its steps, because allocating arrays of
+    this size afresh costs page faults on every step."""
+
+    def __init__(self, model: ModelParams, rows: int):
+        outs = [o for _, o in model.dims]
+        self.grad = np.empty_like(model.buf)
+        self.post, self.masks, self.errors = (
+            [np.empty((rows, o)) for o in outs] for _ in range(3))
+
+
+def _check_batch(model, batch):
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != model.input_dim:
         raise ValueError(f"batch shape {batch.shape} does not match "
                          f"input_dim {model.input_dim}")
+    return batch
+
+
+def _forward_cached(model, batch, dropout_rate, rng, training, work):
+    """Forward pass keeping each layer's input and dropout mask for backprop,
+    written into `work`."""
+    n = batch.shape[0]
     a = batch
-    pre, post, masks = [], [batch], []
-    n_layers = len(model.weights)
+    post, masks = [batch], []
     for k, (w, b, act) in enumerate(zip(model.weights, model.biases,
                                         model.activations)):
-        z = a @ w.T + b
-        pre.append(z)
+        z = np.matmul(a, w.T, out=work.post[k][:n])
+        z += b
+        mask = None
         if act == SOFTMAX:
             a = softmax(z)
-            masks.append(None)
         else:
-            a = np.maximum(z, 0.0)
+            a = np.maximum(z, 0.0, out=z)
             if training and dropout_rate > 0.0:
                 keep = 1.0 - dropout_rate
                 # inverted dropout: scale kept units so inference needs no rescale
-                mask = (rng.random(a.shape) < keep) / keep
-                a = a * mask
-                masks.append(mask)
-            else:
-                masks.append(None)
+                mask = rng.random(out=work.masks[k][:n])
+                np.divide(mask < keep, keep, out=mask)
+                a *= mask
+        masks.append(mask)
         post.append(a)
-    return a, pre, post, masks
+    return a, post, masks
 
 
 def forward(model: ModelParams, batch: np.ndarray, dropout_rate: float = 0.0,
@@ -149,7 +189,9 @@ def forward(model: ModelParams, batch: np.ndarray, dropout_rate: float = 0.0,
     """Class probabilities, shape (B, classes). Rows sum to 1."""
     if training and dropout_rate > 0.0 and rng is None:
         raise ValueError("training forward with dropout requires an rng")
-    probs, _, _, _ = _forward_cached(model, batch, dropout_rate, rng, training)
+    batch = _check_batch(model, batch)
+    probs, _, _ = _forward_cached(model, batch, dropout_rate, rng, training,
+                                  Workspace(model, batch.shape[0]))
     return probs
 
 
@@ -179,71 +221,78 @@ def _loss_grad_wrt_probs(probs, targets, kind):
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
-@dataclass
-class Gradients:
-    d_weights: list[np.ndarray]
-    d_biases: list[np.ndarray]
-
-
 def backward(model: ModelParams, batch: np.ndarray, targets: np.ndarray,
-             config: TrainConfig, rng: np.random.Generator | None = None) -> Gradients:
-    """Analytic gradients of the mean loss. Runs its own forward pass so the
-    dropout masks used here are the ones differentiated."""
+             config: TrainConfig, rng: np.random.Generator | None = None,
+             work: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic gradients of the mean loss, flat in the parameter layout, and
+    the class probabilities of the forward pass they differentiate. That pass
+    runs here, with dropout when config and rng ask for it, so its masks are
+    the ones differentiated. Given a workspace, the gradient is `work.grad`
+    and is overwritten by the next call that uses it."""
+    batch = _check_batch(model, batch)
     targets = np.asarray(targets, dtype=np.float64)
+    if work is None:
+        work = Workspace(model, batch.shape[0])
     training = config.dropout_rate > 0.0 and rng is not None
-    probs, pre, post, masks = _forward_cached(model, batch, config.dropout_rate,
-                                              rng, training)
+    probs, post, masks = _forward_cached(model, batch, config.dropout_rate,
+                                         rng, training, work)
     if targets.shape != probs.shape:
         raise ValueError(f"targets shape {targets.shape} != probs shape {probs.shape}")
+    grad = model.like(work.grad)
+    n = batch.shape[0]
 
     g = _loss_grad_wrt_probs(probs, targets, config.loss)
     # softmax jacobian: dL/dz = p * (g - sum(g*p))
     delta = probs * (g - (g * probs).sum(axis=1, keepdims=True))
 
-    d_weights = [None] * len(model.weights)
-    d_biases = [None] * len(model.weights)
     for k in range(len(model.weights) - 1, -1, -1):
-        d_weights[k] = delta.T @ post[k]
-        d_biases[k] = delta.sum(axis=0)
+        np.matmul(delta.T, post[k], out=grad.weights[k])
+        delta.sum(axis=0, out=grad.biases[k])
         if k > 0:
-            da = delta @ model.weights[k]
+            delta = np.matmul(delta, model.weights[k], out=work.errors[k - 1][:n])
             if masks[k - 1] is not None:
-                da = da * masks[k - 1]
-            delta = da * (pre[k - 1] > 0.0)
-    return Gradients(d_weights, d_biases)
+                delta *= masks[k - 1]
+            # relu' of layer k-1: its output post[k] is > 0 exactly where its
+            # pre-activation is, except at dropped units, whose error the
+            # mask has already zeroed
+            delta *= post[k] > 0.0
+    return grad.buf, probs
 
 
-def adam_step(model: ModelParams, grads: Gradients, state: AdamState,
-              config: TrainConfig) -> tuple[ModelParams, AdamState]:
-    """One Adam update with bias correction. Returns new model and state."""
-    if len(grads.d_weights) != len(model.weights):
-        raise ValueError("gradient layer count does not match model")
+def adam_step(model: ModelParams, grad: np.ndarray, state: AdamState,
+              config: TrainConfig):
+    """One Adam update with bias correction, in place on `model.buf` and
+    `state`. Raises FloatingPointError if a parameter becomes non-finite."""
+    p = model.buf
+    if grad.shape != p.shape:
+        raise ValueError(f"gradient shape {grad.shape} != parameter shape "
+                         f"{p.shape}")
     lr, b1, b2, eps = (config.learning_rate, config.beta1, config.beta2,
                        config.epsilon)
-    t = state.t + 1
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
-    new_w, new_b = [], []
-    new_state = AdamState(m_w=[], v_w=[], m_b=[], v_b=[], t=t)
-    for k in range(len(model.weights)):
-        for p, g, m, v, out_p, out_m, out_v in (
-            (model.weights[k], grads.d_weights[k], state.m_w[k], state.v_w[k],
-             new_w, new_state.m_w, new_state.v_w),
-            (model.biases[k], grads.d_biases[k], state.m_b[k], state.v_b[k],
-             new_b, new_state.m_b, new_state.v_b),
-        ):
-            if g.shape != p.shape:
-                raise ValueError(f"gradient shape {g.shape} != param shape {p.shape}"
-                                 f" in layer {k}")
-            m2 = b1 * m + (1.0 - b1) * g
-            v2 = b2 * v + (1.0 - b2) * g * g
-            step = lr * (m2 / c1) / (np.sqrt(v2 / c2) + eps)
-            out_p.append(p - step)
-            out_m.append(m2)
-            out_v.append(v2)
-    updated = ModelParams(new_w, new_b, list(model.activations))
-    updated.check_finite()
-    return updated, new_state
+    state.t += 1
+    c1 = 1.0 - b1 ** state.t
+    c2 = 1.0 - b2 ** state.t
+    m, v = state.m, state.v
+    tmp, step = state.temps
+    # the operation order of
+    #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+    #   p -= lr * (m/c1) / (sqrt(v/c2) + eps)
+    # kept exactly, so results are bit-identical to the unfused expressions
+    np.multiply(1.0 - b1, grad, out=tmp)
+    m *= b1
+    m += tmp
+    np.multiply(1.0 - b2, grad, out=tmp)
+    tmp *= grad
+    v *= b2
+    v += tmp
+    np.divide(m, c1, out=step)
+    step *= lr
+    np.divide(v, c2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += eps
+    step /= tmp
+    p -= step
+    model.check_finite()
 
 
 def to_one_hot(y: np.ndarray, classes: int) -> np.ndarray:
@@ -259,7 +308,8 @@ def train_local(model: ModelParams, X: np.ndarray, y: np.ndarray,
 
     Runs config.epochs epochs of seeded shuffled mini-batches (final short
     batch included). Returns the updated parameters and the per-epoch mean
-    training loss.
+    training loss: the loss of each batch's training forward pass (dropout
+    on), before that batch's update.
     """
     config.validate()
     X = np.asarray(X, dtype=np.float64)
@@ -273,8 +323,9 @@ def train_local(model: ModelParams, X: np.ndarray, y: np.ndarray,
         return model, []
     targets = to_one_hot(y, model.num_classes)
     rng = np.random.default_rng(config.seed)
-    state = AdamState.zeros_like(model)
     n = X.shape[0]
+    state = AdamState.zeros_like(model)
+    work = Workspace(model, min(config.batch_size, n))
     epoch_losses = []
     for _ in range(config.epochs):
         order = rng.permutation(n)
@@ -282,11 +333,10 @@ def train_local(model: ModelParams, X: np.ndarray, y: np.ndarray,
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
             xb, tb = X[idx], targets[idx]
-            grads = backward(model, xb, tb, config, rng)
-            # loss is logged dropout-free so epochs are comparable
-            total += loss(forward(model, xb), tb, config.loss) * len(idx)
+            grad, probs = backward(model, xb, tb, config, rng, work)
+            total += loss(probs, tb, config.loss) * len(idx)
             seen += len(idx)
-            model, state = adam_step(model, grads, state, config)
+            adam_step(model, grad, state, config)
         epoch_losses.append(total / seen)
     return model, epoch_losses
 

@@ -198,6 +198,40 @@ class TestEval:
         assert main(["--mode", "eval", "--out-dir", str(workdir),
                      "--model-file", str(workdir / "ghost.fmim")]) == 2
 
+    @pytest.mark.parametrize("case,message", [
+        ("header_cut_in_counts", "truncated header"),
+        ("header_cut_in_layers", "truncated header"),
+        ("zero_layers", "no layers"),
+        ("payload_cut", "payload"),
+        ("unknown_activation", "activation id 9"),
+        ("unchained_dims", "does not match"),
+    ])
+    def test_malformed_model_exit_5(self, workdir, tmp_path, capsys, case,
+                                    message):
+        from fedmimic.modelio import save_model
+        from fedmimic.nn import init_model
+        good = tmp_path / "good.fmim"
+        save_model(init_model(4, 3, 5, seed=0), good)
+        data = bytearray(good.read_bytes())
+        # header: magic (5), layer count + loss id (5), then 9 bytes a layer
+        if case == "header_cut_in_counts":
+            data = data[:7]
+        elif case == "header_cut_in_layers":
+            data = data[:5 + 5 + 9 + 4]
+        elif case == "zero_layers":
+            data = data[:5] + bytes([0, 0, 0, 0, 0])
+        elif case == "payload_cut":
+            data = data[:-3]
+        elif case == "unknown_activation":
+            data[5 + 5 + 8] = 9
+        else:  # layer 1 claims 4 inputs where layer 0 has 3 outputs
+            data[5 + 5 + 9] = 4
+        bad = tmp_path / f"{case}.fmim"
+        bad.write_bytes(bytes(data))
+        assert main(["--mode", "eval", "--out-dir", str(workdir),
+                     "--model-file", str(bad)]) == 5
+        assert message in capsys.readouterr().err
+
     def test_dimension_mismatch_exit_5(self, workdir, tmp_path):
         from fedmimic.modelio import save_model
         from fedmimic.nn import init_model

@@ -13,7 +13,9 @@ from test_nn import models_equal
 
 
 def scalar_model(w):
-    return ModelParams([np.array([[float(w)]])], [np.zeros(1)], [1])
+    m = ModelParams([(1, 1)], [1])
+    m.weights[0][0, 0] = w
+    return m
 
 
 def max_param_diff(a, b):
@@ -63,6 +65,23 @@ class TestFedAvg:
             fedavg(models, [0.0, 0.0])
         with pytest.raises(ValueError):
             fedavg(models, [1.0, -1.0])
+
+    def test_bit_equal_to_per_layer_sum(self):
+        # the flat fold must add in the order a per-layer sum() over the
+        # models does, so the result keeps every bit
+        rng = np.random.default_rng(7)
+        models = [init_model(9, 12, 5, seed=s) for s in range(4)]
+        for m in models:
+            m.buf[:] = rng.standard_normal(m.buf.size)
+        weights = [0.7, 2.0, 1.3, 0.1]
+        avg = fedavg(models, weights)
+        w = np.asarray(weights)
+        w = w / w.sum()
+        for k in range(3):
+            for got, per_model in ((avg.weights[k], [m.weights[k] for m in models]),
+                                   (avg.biases[k], [m.biases[k] for m in models])):
+                ref = sum(wi * p for wi, p in zip(w, per_model))
+                assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
     @given(values=st.lists(st.floats(-10, 10), min_size=2, max_size=5),
            scale=st.floats(0.1, 100))

@@ -62,6 +62,20 @@ class TestAgreement:
         labels = [np.array([0, 0]), np.array([0, 0]), np.array([0, 1])]
         assert pseudo_label_agreement(labels) == pytest.approx(5 / 6)
 
+    def test_matches_per_column_bincount_on_five_classes(self):
+        rng = np.random.default_rng(3)
+        labels = list(rng.integers(0, 5, (7, 300)))
+        stack = np.stack(labels)
+        counts = np.apply_along_axis(np.bincount, 0, stack, minlength=5)
+        expected = float((stack == counts.argmax(axis=0)).mean())
+        assert pseudo_label_agreement(labels) == expected
+
+    def test_seven_classes(self):
+        # per-sample majorities 6, 5, 1 and 2 (the 2-3-4 tie goes to the lowest)
+        labels = [np.array([6, 5, 1, 2]), np.array([6, 5, 1, 3]),
+                  np.array([2, 5, 0, 4])]
+        assert pseudo_label_agreement(labels) == pytest.approx(8 / 12)
+
 
 class TestFtml:
     def test_zero_rounds_returns_seeded_init(self):

@@ -31,6 +31,18 @@ def test_loaded_model_predicts_like_saved(tmp_path):
     assert loaded.activations == m.activations
 
 
+def test_round_trip_is_float32_rounding(tmp_path):
+    m = init_model(7, 6, 5, seed=4)
+    m.buf[:] = np.random.default_rng(1).standard_normal(m.buf.size)
+    path = tmp_path / "m.fmim"
+    save_model(m, path)
+    loaded, _ = load_model(path)
+    assert loaded.dims == m.dims
+    assert np.array_equal(loaded.buf, m.buf.astype(np.float32).astype(np.float64))
+    for w, lw in zip(m.weights, loaded.weights):
+        assert np.array_equal(lw, w.astype(np.float32))
+
+
 def test_float32_fixpoint(tmp_path):
     # a second save/load cycle changes nothing
     m = init_model(4, 4, 5, seed=2)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from fedmimic.nn import (AdamState, Gradients, ModelParams, TrainConfig,
-                         adam_step, backward, forward, init_model, loss,
-                         predict, to_one_hot, train_local)
-from fedmimic.nn import _forward_cached
+from fedmimic.nn import (AdamState, ModelParams, TrainConfig, adam_step,
+                         backward, forward, init_model, loss, predict,
+                         to_one_hot, train_local)
+from fedmimic.nn import Workspace, _forward_cached
 
 from conftest import toy_separable
 
@@ -32,6 +32,34 @@ class TestInitModel:
             init_model(42, -1, 5, seed=0)
 
 
+class TestFlatLayout:
+    def test_layer_views_alias_the_buffer(self):
+        m = init_model(6, 4, 5, seed=0)
+        assert np.array_equal(m.buf, np.concatenate(
+            [a.ravel() for w, b in zip(m.weights, m.biases) for a in (w, b)]))
+        for arr in m.weights + m.biases:
+            assert np.shares_memory(arr, m.buf)
+        m.weights[1][2, 3] = 7.0
+        m.biases[2][4] = -3.0
+        assert m.buf[6 * 4 + 4 + 2 * 4 + 3] == 7.0
+        assert m.buf[-1] == -3.0
+        m.buf[0] = 11.0
+        assert m.weights[0][0, 0] == 11.0
+
+    def test_copy_is_independent(self):
+        m = init_model(6, 4, 5, seed=0)
+        c = m.copy()
+        assert models_equal(m, c) and not np.shares_memory(c.buf, m.buf)
+        c.weights[0][:] = 1.0
+        c.biases[1][:] = 2.0
+        assert not (m.weights[0] == 1.0).any()
+        assert (m.biases[1] == 0.0).all()
+
+    def test_wrong_buffer_size_rejected(self):
+        with pytest.raises(ValueError):
+            ModelParams([(2, 3)], [1], np.zeros(8))
+
+
 class TestForward:
     def test_zero_weights_give_uniform(self):
         m = init_model(6, 4, 5, seed=0)
@@ -46,7 +74,8 @@ class TestForward:
         m = init_model(2, 2, 5, seed=0)
         m.weights[0][:] = np.eye(2)
         m.biases[0][:] = 0.0
-        _, _, post, _ = _forward_cached(m, np.array([[-1.0, 2.0]]), 0.0, None, False)
+        _, post, _ = _forward_cached(m, np.array([[-1.0, 2.0]]), 0.0, None,
+                                     False, Workspace(m, 1))
         assert np.array_equal(post[1], [[0.0, 2.0]])
 
     def test_rows_sum_to_one(self):
@@ -100,11 +129,11 @@ class TestBackward:
         X = rng.random((5, 7))
         T = to_one_hot(rng.integers(0, 5, 5), 5)
         cfg = TrainConfig(dropout_rate=0.0, loss=kind)
-        g = backward(m, X, T, cfg)
+        g = m.like(backward(m, X, T, cfg)[0])
         h = 1e-4
         for k in range(len(m.weights)):
-            for params, grads in ((m.weights[k], g.d_weights[k]),
-                                  (m.biases[k], g.d_biases[k])):
+            for params, grads in ((m.weights[k], g.weights[k]),
+                                  (m.biases[k], g.biases[k])):
                 flat = params.reshape(-1)
                 gflat = grads.reshape(-1)
                 for idx in range(0, flat.size, max(1, flat.size // 7)):
@@ -123,11 +152,11 @@ class TestBackward:
         X = np.zeros((3, 4))
         T = np.zeros((3, 5))
         cfg = TrainConfig(dropout_rate=0.4)
-        g1 = backward(m, X, T, cfg, np.random.default_rng(5))
-        g2 = backward(m, X, T, cfg, np.random.default_rng(5))
-        assert all(np.isfinite(d).all() for d in g1.d_biases)
+        g1 = m.like(backward(m, X, T, cfg, np.random.default_rng(5))[0])
+        g2 = m.like(backward(m, X, T, cfg, np.random.default_rng(5))[0])
+        assert all(np.isfinite(d).all() for d in g1.biases)
         assert all(np.array_equal(a, b)
-                   for a, b in zip(g1.d_weights, g2.d_weights))
+                   for a, b in zip(g1.weights, g2.weights))
 
     def test_duplicated_rows_leave_mean_gradient_unchanged(self):
         rng = np.random.default_rng(3)
@@ -135,22 +164,23 @@ class TestBackward:
         X = rng.random((4, 5))
         T = to_one_hot(rng.integers(0, 5, 4), 5)
         cfg = TrainConfig(dropout_rate=0.0)
-        g1 = backward(m, X, T, cfg)
-        g2 = backward(m, np.vstack([X, X]), np.vstack([T, T]), cfg)
-        for a, b in zip(g1.d_weights, g2.d_weights):
+        g1 = m.like(backward(m, X, T, cfg)[0])
+        g2 = m.like(backward(m, np.vstack([X, X]), np.vstack([T, T]), cfg)[0])
+        for a, b in zip(g1.weights, g2.weights):
             assert np.allclose(a, b, atol=1e-12)
 
 
 class TestAdamStep:
     def _scalar_model(self, w=1.0):
-        return ModelParams([np.array([[w]])], [np.zeros(1)], [1])
+        m = ModelParams([(1, 1)], [1])
+        m.weights[0][0, 0] = w
+        return m
 
     def test_zero_gradient_is_noop(self):
         m = init_model(3, 4, 5, seed=0)
-        state = AdamState.zeros_like(m)
-        g = Gradients([np.zeros_like(w) for w in m.weights],
-                      [np.zeros_like(b) for b in m.biases])
-        m2, s2 = adam_step(m, g, state, TrainConfig())
+        m2, s2 = m.copy(), AdamState.zeros_like(m)
+        g = np.zeros_like(m.buf)
+        adam_step(m2, g, s2, TrainConfig())
         assert models_equal(m, m2)
         assert s2.t == 1
 
@@ -159,9 +189,10 @@ class TestAdamStep:
         # so the step is lr / (1 + eps)
         cfg = TrainConfig(learning_rate=0.001, beta1=0.1, beta2=0.99,
                           epsilon=1e-7)
-        m = self._scalar_model(1.0)
-        g = Gradients([np.array([[1.0]])], [np.zeros(1)])
-        m2, s2 = adam_step(m, g, AdamState.zeros_like(m), cfg)
+        m2 = self._scalar_model(1.0)
+        g = m2.like(np.zeros_like(m2.buf))
+        g.weights[0][0, 0] = 1.0
+        adam_step(m2, g.buf, AdamState.zeros_like(m2), cfg)
         expected = 1.0 - 0.001 * 1.0 / (1.0 + 1e-7)
         assert m2.weights[0][0, 0] == pytest.approx(expected, rel=1e-12)
         assert m2.biases[0][0] == 0.0
@@ -171,14 +202,15 @@ class TestAdamStep:
         X = np.random.default_rng(0).random((3, 4))
         T = to_one_hot(np.array([0, 1, 2]), 5)
         cfg = TrainConfig(dropout_rate=0.0)
-        g = backward(m, X, T, cfg)
-        m1, _ = adam_step(m, g, AdamState.zeros_like(m), cfg)
-        m2, _ = adam_step(m, g, AdamState.zeros_like(m), cfg)
+        g, _ = backward(m, X, T, cfg)
+        m1, m2 = m.copy(), m.copy()
+        adam_step(m1, g, AdamState.zeros_like(m), cfg)
+        adam_step(m2, g, AdamState.zeros_like(m), cfg)
         assert models_equal(m1, m2)
 
     def test_shape_mismatch(self):
         m = self._scalar_model()
-        g = Gradients([np.zeros((2, 2))], [np.zeros(1)])
+        g = np.zeros(5)  # a (2, 2) weight plus one bias; the model has 1 + 1
         with pytest.raises(ValueError):
             adam_step(m, g, AdamState.zeros_like(m), TrainConfig())
 
@@ -212,6 +244,29 @@ class TestTrainLocal:
         with pytest.raises(ValueError):
             train_local(m, np.zeros((0, 4)), np.zeros(0, dtype=int),
                         TrainConfig())
+
+    def test_dropout_free_logged_loss_matches_separate_forward(self):
+        # without dropout the training forward is the dropout-free forward,
+        # so logging from it must give exactly the loss of a second pass
+        X, y = toy_separable(70, seed=8)
+        cfg = TrainConfig(epochs=3, batch_size=16, dropout_rate=0.0, seed=2)
+        m0 = init_model(4, 8, 5, seed=3)
+        _, logged = train_local(m0, X, y, cfg)
+
+        m, state = m0.copy(), AdamState.zeros_like(m0)
+        targets = to_one_hot(y, 5)
+        rng = np.random.default_rng(cfg.seed)
+        expected = []
+        for _ in range(cfg.epochs):
+            order = rng.permutation(len(y))
+            total = 0.0
+            for start in range(0, len(y), cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                g, _ = backward(m, X[idx], targets[idx], cfg, rng)
+                total += loss(forward(m, X[idx]), targets[idx]) * len(idx)
+                adam_step(m, g, state, cfg)
+            expected.append(total / len(y))
+        assert logged == expected
 
     def test_short_final_batch_used(self):
         # 50 examples, batch 32: epoch loss averages over all 50
