@@ -23,11 +23,11 @@ from .data import (Dataset, ParseError, PreprocessPipeline, PublicSet,
                    select_columns, shard_clients, split_indices,
                    split_private_public)
 from .features import select_union
-from .fedsim import TAG_INIT, ClientShard, derive_seed, run_fl, test_accuracy
+from .fedsim import ClientShard, derive_seed, run_fl
 from .metrics import confusion, per_class_metrics
-from .mimic import MimicClient, run_fsml, run_ftml
+from .mimic import STUDENT_INIT_POLICIES, MimicClient, run_fsml, run_ftml
 from .modelio import ModelFormatError, load_model, save_model
-from .nn import TrainConfig, init_model, predict, train_local
+from .nn import TrainConfig, predict
 
 EXIT_OK = 0
 EXIT_MISSING_INPUT = 2
@@ -71,6 +71,19 @@ DEFAULTS = {
     "out_dir": "out",
 }
 
+CHOICES = {"loss": ("mae", "xent"), "student_init": STUDENT_INIT_POLICIES}
+FLAG_HELP = {
+    "config": "JSON config file; flags override it",
+    "attack_map": "custom attack->class mapping file",
+    "model_file": "model to evaluate (mode=eval)",
+    "history_file": "history.csv to re-emit as an accuracy series (mode=eval)",
+    "official_split": "use the given train/test files as-is instead of "
+                      "re-splitting the combined corpus",
+    "per_user_public": "give each mimic client its own public shard",
+    "mimic_full_data": "mimic pool = whole training set instead of "
+                       "clients x samples-per-client",
+}
+
 
 class MissingInput(Exception):
     pass
@@ -81,44 +94,19 @@ class MissingPrep(Exception):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """``--mode`` plus one flag per DEFAULTS key, typed like its default."""
     p = argparse.ArgumentParser(
         prog="fedmimic",
         description="NSL-KDD federated mimic-learning training harness")
     p.add_argument("--mode", required=True, choices=MODES)
-    p.add_argument("--train-file")
-    p.add_argument("--test-file")
-    p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--attack-map", help="custom attack->class mapping file")
-    p.add_argument("--model-file", help="model to evaluate (mode=eval)")
-    p.add_argument("--history-file", help="round history to re-emit as an "
-                                          "accuracy series (mode=eval)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--clients", type=int)
-    p.add_argument("--samples-per-client", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--beta1", type=float)
-    p.add_argument("--beta2", type=float)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--loss", choices=("mae", "xent"))
-    p.add_argument("--k-features", type=int)
-    p.add_argument("--rfe-step", type=int)
-    p.add_argument("--private-fraction", type=float)
-    p.add_argument("--student-init", choices=("warm", "global", "fresh"))
-    p.add_argument("--threads", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--test-fraction", type=float)
-    p.add_argument("--official-split", action="store_true", default=None,
-                   help="use the given train/test files as-is instead of "
-                        "re-splitting the combined corpus")
-    p.add_argument("--per-user-public", action="store_true", default=None,
-                   help="give each mimic client its own public shard")
-    p.add_argument("--mimic-full-data", action="store_true", default=None,
-                   help="mimic pool = whole training set instead of "
-                        "clients x samples-per-client")
-    p.add_argument("--out-dir")
+    for key, default in DEFAULTS.items():
+        flag, help_ = "--" + key.replace("_", "-"), FLAG_HELP.get(key)
+        if isinstance(default, bool):
+            p.add_argument(flag, action="store_true", default=None, help=help_)
+        else:
+            kind = type(default) if isinstance(default, (int, float)) else str
+            p.add_argument(flag, type=kind, choices=CHOICES.get(key),
+                           help=help_)
     return p
 
 
@@ -130,9 +118,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if not path.exists():
             raise MissingInput(f"config file not found: {path}")
         file_cfg = json.loads(path.read_text())
-        unknown = set(file_cfg) - set(DEFAULTS)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"config file {path} must hold a JSON object")
+        for key, val in file_cfg.items():
+            check_config_value(key, val)
         cfg.update(file_cfg)
     for key in DEFAULTS:
         val = getattr(args, key, None)
@@ -140,6 +129,22 @@ def resolve_config(args: argparse.Namespace) -> dict:
             cfg[key] = val
     cfg["mode"] = args.mode
     return cfg
+
+
+def check_config_value(key: str, val) -> None:
+    """A config-file key must be in DEFAULTS, its value of the default's type:
+    ints reject bools, floats take ints, None-default paths take str or null."""
+    if key not in DEFAULTS:
+        raise ValueError(f"unknown config key {key!r}")
+    default = DEFAULTS[key]
+    if default is None:
+        want, allowed = "str or null", (str, type(None))
+    elif isinstance(default, float):
+        want, allowed = "float", (int, float)
+    else:
+        want, allowed = type(default).__name__, (type(default),)
+    if type(val) not in allowed:
+        raise ValueError(f"config key {key!r} must be {want}, got {val!r}")
 
 
 def train_config(cfg: dict) -> TrainConfig:
@@ -316,44 +321,32 @@ def build_mimic_clients(train: Dataset, cfg: dict) -> list[MimicClient]:
 
 def cmd_train(cfg: dict) -> int:
     out_dir = Path(cfg["out_dir"])
-    pipeline, train, test = load_prep(out_dir)
+    _, train, test = load_prep(out_dir)
     tc = train_config(cfg)
     mode, seed = cfg["mode"], cfg["seed"]
-    input_dim = train.X.shape[1]
-    if input_dim < 1:
-        raise ValueError("no features selected; check the feature mask")
     teacher_fits = 0
 
-    if mode == "central":
-        model = init_model(input_dim, cfg["hidden"], 5,
-                           seed=derive_seed(seed, TAG_INIT))
-        model, losses = train_local(model, train.X, train.y, tc)
-        history_csv = "epoch,mean_loss\n" + "".join(
-            f"{i},{l:.6f}\n" for i, l in enumerate(losses))
+    if mode == "central":  # one client holding the whole train set, one round
+        model, history = run_fl([ClientShard(0, train)], test, rounds=1,
+                                config=tc, seed=seed, hidden=cfg["hidden"])
     elif mode == "fl":
         shards = [ClientShard(cid, d) for cid, d in enumerate(
             shard_clients(train, cfg["clients"], cfg["samples_per_client"],
                           seed))]
         model, history = run_fl(shards, test, cfg["rounds"], tc, seed,
                                 hidden=cfg["hidden"], threads=cfg["threads"])
-        history_csv = history.to_csv()
-    elif mode in ("ftml", "fsml"):
-        clients = build_mimic_clients(train, cfg)
-        if mode == "ftml":
-            model, history = run_ftml(clients, test, cfg["rounds"], tc, seed,
-                                      hidden=cfg["hidden"],
-                                      student_init=cfg["student_init"],
-                                      threads=cfg["threads"])
-        else:
-            model, history, teacher_fits = run_fsml(
-                clients, test, cfg["rounds"], tc, seed,
-                hidden=cfg["hidden"], threads=cfg["threads"])
-        history_csv = history.to_csv()
+    elif mode == "ftml":
+        model, history = run_ftml(build_mimic_clients(train, cfg), test,
+                                  cfg["rounds"], tc, seed, hidden=cfg["hidden"],
+                                  student_init=cfg["student_init"],
+                                  threads=cfg["threads"])
     else:
-        raise ValueError(f"unknown training mode {mode!r}")
+        model, history, teacher_fits = run_fsml(
+            build_mimic_clients(train, cfg), test, cfg["rounds"], tc, seed,
+            hidden=cfg["hidden"], threads=cfg["threads"])
 
     save_model(model, out_dir / "model.fmim", tc.loss)
-    (out_dir / "history.csv").write_text(history_csv)
+    (out_dir / "history.csv").write_text(history.to_csv())
     report = per_class_metrics(confusion(predict(model, test.X), test.y))
     (out_dir / "report.txt").write_text(report.to_text())
     (out_dir / "report.csv").write_text(report.to_csv())
@@ -368,6 +361,24 @@ def cmd_train(cfg: dict) -> int:
     return EXIT_OK
 
 
+def accuracy_series(hist_path: Path) -> str:
+    """The round,test_accuracy columns of a history.csv. A missing header or a
+    row of another field count raises ParseError naming file and line."""
+    lines = hist_path.read_text().splitlines()
+    cols = lines[0].split(",") if lines else []
+    if "round" not in cols or "test_accuracy" not in cols:
+        raise ParseError(f"{hist_path} line 1: no round,test_accuracy header")
+    ri, ai = cols.index("round"), cols.index("test_accuracy")
+    series = ["round,test_accuracy"]
+    for n, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
+        if len(fields) != len(cols):
+            raise ParseError(f"{hist_path} line {n}: {len(fields)} fields, "
+                             f"header has {len(cols)}")
+        series.append(f"{fields[ri]},{fields[ai]}")
+    return "\n".join(series) + "\n"
+
+
 def cmd_eval(cfg: dict) -> int:
     out_dir = Path(cfg["out_dir"])
     model_path = Path(cfg["model_file"] or out_dir / "model.fmim")
@@ -378,24 +389,18 @@ def cmd_eval(cfg: dict) -> int:
     if model.input_dim != test.X.shape[1]:
         raise ModelFormatError(f"model expects {model.input_dim} features, "
                                f"test matrix has {test.X.shape[1]}")
+    # read the history before writing anything, so a bad one writes nothing
+    series = (accuracy_series(Path(cfg["history_file"]))
+              if cfg["history_file"] else None)
     report = per_class_metrics(confusion(predict(model, test.X), test.y))
     (out_dir / "eval_report.txt").write_text(report.to_text())
     (out_dir / "eval_report.csv").write_text(report.to_csv())
     (out_dir / "eval_report.json").write_text(report.to_json())
     artifacts = [out_dir / n for n in ("eval_report.txt", "eval_report.csv",
                                        "eval_report.json")]
-    if cfg["history_file"]:
-        hist_path = Path(cfg["history_file"])
-        if not hist_path.exists():
-            raise MissingInput(f"history file not found: {hist_path}")
-        lines = hist_path.read_text().splitlines()
-        cols = lines[0].split(",")
-        if "round" in cols and "test_accuracy" in cols:
-            ri, ai = cols.index("round"), cols.index("test_accuracy")
-            series = ["round,test_accuracy"]
-            series += [f"{r.split(',')[ri]},{r.split(',')[ai]}" for r in lines[1:]]
-            (out_dir / "accuracy_series.csv").write_text("\n".join(series) + "\n")
-            artifacts.append(out_dir / "accuracy_series.csv")
+    if series is not None:
+        (out_dir / "accuracy_series.csv").write_text(series)
+        artifacts.append(out_dir / "accuracy_series.csv")
     print(f"eval: overall test accuracy {report.overall_accuracy:.2f}%")
     write_runmeta(out_dir, cfg, artifacts)
     return EXIT_OK
@@ -403,15 +408,10 @@ def cmd_eval(cfg: dict) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    commands = {"prep": cmd_prep, "select": cmd_select, "eval": cmd_eval}
     try:
         cfg = resolve_config(args)
-        if cfg["mode"] == "prep":
-            return cmd_prep(cfg)
-        if cfg["mode"] == "select":
-            return cmd_select(cfg)
-        if cfg["mode"] == "eval":
-            return cmd_eval(cfg)
-        return cmd_train(cfg)
+        return commands.get(cfg["mode"], cmd_train)(cfg)
     except (MissingInput, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MISSING_INPUT

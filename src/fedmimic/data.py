@@ -101,8 +101,10 @@ class PublicSet:
 
 def parse_records(lines) -> list[RawRecord]:
     """Parse comma-delimited NSL-KDD rows (42 fields, or 43 with the
-    difficulty score). Raises ParseError naming the 1-based row."""
+    difficulty score). Raises ParseError naming the 1-based row, also for a
+    nan or inf feature."""
     records = []
+    rows = []  # 1-based row of each record
     for i, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -133,6 +135,13 @@ def parse_records(lines) -> list[RawRecord]:
                 raise ParseError(f"row {i}: difficulty is not numeric: "
                                  f"{parts[NUM_FEATURES + 1]!r}") from None
         records.append(RawRecord(nominal, numeric, label, difficulty))
+        rows.append(i)
+    # one check after the loop; a numpy check per row is eight times slower
+    numeric = np.array([r.numeric for r in records])
+    if not np.isfinite(numeric).all():
+        r, k = np.argwhere(~np.isfinite(numeric))[0]
+        raise ParseError(f"row {rows[r]}: field {_NUMERIC_NAMES[k]!r} is not "
+                         f"finite: {numeric[r, k]}")
     return records
 
 

@@ -1,5 +1,5 @@
-"""Simulated federated learning: client shards, per-round local training,
-federated averaging, and the plain-FL loop. No transport, no stragglers;
+"""Simulated federated learning: client shards, federated averaging, the
+round loop every regime shares, and plain FL. No transport, no stragglers;
 clients may train in parallel threads but results are scheduling-invariant
 (per-client seeds, id-ordered averaging)."""
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset
-from .metrics import confusion, overall_accuracy
+from .metrics import confusion, overall_accuracy, pseudo_label_agreement
 from .nn import ModelParams, TrainConfig, init_model, predict, train_local
 
 # seed-derivation tags; keep stable, they define reproducibility
@@ -107,35 +107,61 @@ def _map_clients(fn, items, threads):
     return [fn(item) for item in items]
 
 
-def run_fl(shards: list[ClientShard], test: Dataset, rounds: int = 20,
-           config: TrainConfig | None = None, seed: int = 0,
-           hidden: int = 256, threads: int = 1,
-           num_classes: int = 5) -> tuple[ModelParams, RoundHistory]:
-    """FedAvg over all clients every round. Aggregation weights are client
-    sample counts (equal shards reduce to the plain mean)."""
-    if not shards:
-        raise ValueError("no client shards")
-    config = config or TrainConfig()
-    shards = sorted(shards, key=lambda s: s.client_id)
-    input_dim = shards[0].data.X.shape[1]
-    global_model = init_model(input_dim, hidden, num_classes,
-                              seed=derive_seed(seed, TAG_INIT))
-    history = RoundHistory()
-    sizes = [float(len(s.data)) for s in shards]
-    for rnd in range(rounds):
-        def fit(shard, rnd=rnd):
-            cfg = replace(config, seed=derive_seed(seed, TAG_CLIENT,
-                                                   shard.client_id, rnd))
-            return train_local(global_model, shard.data.X, shard.data.y, cfg)
+def sort_clients(clients: list) -> list:
+    """Clients in id order; rejects an empty list and duplicate ids."""
+    if not clients:
+        raise ValueError("no clients")
+    ids = [c.client_id for c in clients]
+    if len(set(ids)) != len(ids):
+        raise ValueError("duplicate client ids")
+    return sorted(clients, key=lambda c: c.client_id)
 
-        results = _map_clients(fit, shards, threads)
-        locals_, losses = zip(*results)
-        global_model = fedavg(list(locals_), sizes)
+
+def run_rounds(clients: list, step, test: Dataset, rounds: int,
+               init: ModelParams, threads: int,
+               weights: list[float] | None = None,
+               fits_per_client: int = 1) -> tuple[ModelParams, RoundHistory]:
+    """The round loop of every regime. Each round runs ``step(global_model,
+    client, rnd) -> (local_model, losses, pseudo_labels | None)`` for the
+    clients (``sort_clients`` order; ``weights`` follow it), averages the
+    local models and records one RoundRecord."""
+    global_model = init
+    history = RoundHistory()
+    for rnd in range(rounds):
+        results = _map_clients(lambda c: step(global_model, c, rnd), clients,
+                               threads)
+        locals_, losses, pseudo = zip(*results)
+        global_model = fedavg(list(locals_), weights)
         history.rounds.append(RoundRecord(
             round=rnd,
             test_accuracy=test_accuracy(global_model, test),
-            client_losses={s.client_id: (ls[-1] if ls else float("nan"))
-                           for s, ls in zip(shards, losses)},
-            local_fits=len(shards),
+            client_losses={c.client_id: (ls[-1] if ls else float("nan"))
+                           for c, ls in zip(clients, losses)},
+            local_fits=fits_per_client * len(clients),
+            pseudo_agreement=(None if pseudo[0] is None
+                              else pseudo_label_agreement(list(pseudo))),
         ))
     return global_model, history
+
+
+def run_fl(shards: list[ClientShard], test: Dataset, rounds: int = 20,
+           config: TrainConfig | None = None, seed: int = 0,
+           hidden: int = 256, threads: int = 1,
+           ) -> tuple[ModelParams, RoundHistory]:
+    """FedAvg over all clients every round. Aggregation weights are client
+    sample counts (equal shards reduce to the plain mean). One client for
+    one round is centralized training."""
+    shards = sort_clients(shards)
+    config = config or TrainConfig()
+
+    def fit(global_model, shard, rnd):
+        cfg = replace(config, seed=derive_seed(seed, TAG_CLIENT,
+                                               shard.client_id, rnd))
+        model, losses = train_local(global_model, shard.data.X, shard.data.y,
+                                    cfg)
+        return model, losses, None
+
+    init = init_model(shards[0].data.X.shape[1], hidden, 5,
+                      seed=derive_seed(seed, TAG_INIT))
+    return run_rounds(shards, fit, test, rounds, init, threads,
+                      weights=[float(len(s.data)) for s in shards])

@@ -1,5 +1,5 @@
-"""Confusion matrix and the per-class one-vs-rest metric suite (accuracy,
-precision, recall, false alarm rate, F-score, all in percent)."""
+"""Confusion matrix, per-class one-vs-rest metrics (accuracy, precision,
+recall, false alarm rate, F-score, in percent), pseudo-label agreement."""
 
 from __future__ import annotations
 
@@ -105,3 +105,18 @@ def per_class_metrics(cm: np.ndarray,
 def overall_accuracy(cm: np.ndarray) -> float:
     cm = np.asarray(cm)
     return 100.0 * float(np.trace(cm)) / float(cm.sum())
+
+
+def pseudo_label_agreement(pseudo: list[np.ndarray]) -> float:
+    """Fraction of (client, sample) pseudo-labels that match the per-sample
+    majority label across clients (ties go to the lowest label)."""
+    stack = np.stack(pseudo)
+    n = stack.shape[1]
+    if n == 0:
+        return 1.0
+    classes = int(stack.max()) + 1
+    # votes per (class, sample), counted in one bincount over class*n + sample
+    counts = np.bincount((stack * n + np.arange(n)).ravel(),
+                         minlength=classes * n).reshape(classes, n)
+    majority = counts.argmax(axis=0)
+    return float((stack == majority).mean())

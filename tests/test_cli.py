@@ -4,7 +4,10 @@ import shutil
 import numpy as np
 import pytest
 
-from fedmimic.cli import main
+from fedmimic.cli import (build_parser, load_prep, main, resolve_config,
+                          train_config)
+from fedmimic.fedsim import ClientShard, run_fl
+from fedmimic.modelio import save_model
 
 from conftest import make_kdd_lines
 
@@ -66,6 +69,20 @@ class TestPrep:
         rc = main(["--mode", "prep", "--train-file", str(bad),
                    "--out-dir", str(tmp_path / "o")])
         assert rc == 5
+
+    def test_non_finite_field_exit_5_writes_no_matrix(self, tmp_path,
+                                                      capsys):
+        lines = make_kdd_lines(n=20, seed=0)
+        fields = lines[5].split(",")
+        fields[4] = "-inf"  # src_bytes
+        lines[5] = ",".join(fields)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        assert main(["--mode", "prep", "--train-file", str(bad),
+                     "--out-dir", str(out)]) == 5
+        assert "row 6: field 'src_bytes'" in capsys.readouterr().err
+        assert not (out / "test_X.npy").exists()
 
     def test_rerun_is_byte_identical(self, prepped, tmp_path):
         out2 = tmp_path / "out2"
@@ -147,6 +164,26 @@ class TestTrainModes:
         for name in ("report.txt", "history.csv", "model.fmim"):
             assert (workdir / name).read_bytes() == (other / name).read_bytes()
 
+    def test_central_history_is_one_round_of_one_client(self, workdir):
+        assert main(["--mode", "central", "--out-dir", str(workdir)]
+                    + TRAIN_FLAGS) == 0
+        lines = (workdir / "history.csv").read_text().splitlines()
+        assert lines[0] == "round,test_accuracy,local_fits,loss_client_0"
+        assert len(lines) == 2 and lines[1].startswith("0,")
+
+    def test_central_model_equals_one_shard_one_round_fl(self, workdir,
+                                                         tmp_path):
+        args = ["--mode", "central", "--out-dir", str(workdir)] + TRAIN_FLAGS
+        assert main(args) == 0
+        cfg = resolve_config(build_parser().parse_args(args))
+        _, train, test = load_prep(workdir)
+        model, _ = run_fl([ClientShard(0, train)], test, rounds=1,
+                          config=train_config(cfg), seed=cfg["seed"],
+                          hidden=cfg["hidden"])
+        save_model(model, tmp_path / "direct.fmim", cfg["loss"])
+        assert (tmp_path / "direct.fmim").read_bytes() == \
+               (workdir / "model.fmim").read_bytes()
+
     def test_runmeta_records_resolved_config_and_digests(self, workdir):
         assert main(["--mode", "central", "--out-dir", str(workdir)]
                     + TRAIN_FLAGS) == 0
@@ -166,6 +203,33 @@ class TestConfigFile:
         meta = json.loads((workdir / "runmeta.json").read_text())
         assert meta["config"]["epochs"] == 2
         assert meta["config"]["hidden"] == 8
+
+    @pytest.mark.parametrize("doc,needle", [
+        ({"rounds": "x"}, "'rounds'"),
+        ({"rounds": True}, "'rounds'"),
+        ({"rounds": 2.5}, "'rounds'"),
+        ({"lr": "0.1"}, "'lr'"),
+        ({"lr": False}, "'lr'"),
+        ({"train_file": 3}, "'train_file'"),
+        ({"official_split": 1}, "'official_split'"),
+        ({"loss": 0}, "'loss'"),
+        (["rounds"], "JSON object"),
+    ])
+    def test_wrong_value_type_exit_4(self, workdir, tmp_path, capsys, doc,
+                                     needle):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["--mode", "fl", "--out-dir", str(workdir),
+                     "--config", str(cfg)]) == 4
+        assert needle in capsys.readouterr().err
+
+    def test_int_for_float_and_null_path_accepted(self, workdir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lr": 1, "model_file": None}))
+        assert main(["--mode", "central", "--out-dir", str(workdir),
+                     "--config", str(cfg)] + TRAIN_FLAGS) == 0
+        meta = json.loads((workdir / "runmeta.json").read_text())
+        assert meta["config"]["lr"] == 1
 
     def test_unknown_key_rejected(self, workdir, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -189,6 +253,32 @@ class TestEval:
         eval_rep = json.loads((workdir / "eval_report.json").read_text())
         assert eval_rep["overall_accuracy"] == pytest.approx(
             train_rep["overall_accuracy"], abs=0.05)
+
+    def test_eval_of_central_history_writes_series(self, workdir):
+        assert main(["--mode", "central", "--out-dir", str(workdir)]
+                    + TRAIN_FLAGS) == 0
+        assert main(["--mode", "eval", "--out-dir", str(workdir),
+                     "--history-file", str(workdir / "history.csv")]) == 0
+        series = (workdir / "accuracy_series.csv").read_text().splitlines()
+        assert series[0] == "round,test_accuracy"
+        assert len(series) == 2 and series[1].startswith("0,")
+
+    @pytest.mark.parametrize("text,line", [
+        ("", 1),
+        ("round,test_accuracy,local_fits\n0,50.0000,3\n1,60.0000\n", 3),
+    ])
+    def test_malformed_history_exit_5(self, workdir, tmp_path, capsys, text,
+                                      line):
+        assert main(["--mode", "central", "--out-dir", str(workdir)]
+                    + TRAIN_FLAGS) == 0
+        hist = tmp_path / "history.csv"
+        hist.write_text(text)
+        capsys.readouterr()
+        assert main(["--mode", "eval", "--out-dir", str(workdir),
+                     "--history-file", str(hist)]) == 5
+        err = capsys.readouterr().err.strip()
+        assert f"{hist} line {line}" in err and "\n" not in err
+        assert not (workdir / "eval_report.json").exists()
 
     def test_corrupt_model_exit_5(self, workdir):
         (workdir / "model.fmim").write_bytes(b"JUNK!" + b"\x00" * 32)

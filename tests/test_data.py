@@ -34,6 +34,13 @@ class TestParse:
         with pytest.raises(ParseError, match="row 1"):
             parse_records([bad])
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_numeric_names_row_and_field(self, value):
+        # a blank line before it: the row number counts file lines
+        bad = KDDTRAIN_ROW_1.replace("491", value)
+        with pytest.raises(ParseError, match="row 3: field 'src_bytes'"):
+            parse_records([KDDTRAIN_ROW_1, "", bad])
+
     def test_empty_stream(self):
         assert parse_records([]) == []
 

@@ -147,6 +147,12 @@ class TestRunFl:
         with pytest.raises(ValueError):
             run_fl([], Dataset(*toy_separable(10)), rounds=1)
 
+    def test_duplicate_ids_rejected(self):
+        shards = make_shards(num_clients=2)
+        shards[1].client_id = shards[0].client_id
+        with pytest.raises(ValueError, match="duplicate client ids"):
+            run_fl(shards, Dataset(*toy_separable(10)), rounds=1)
+
     def test_learns_toy_problem(self):
         shards = make_shards(num_clients=3, per_client=60)
         X, y = toy_separable(60, seed=12)

@@ -140,6 +140,15 @@ class TestFsml:
         assert all(r.local_fits == 3 for r in history.rounds)
         assert history.total_local_fits == 3 * 4
 
+    def test_zero_rounds_fit_no_teachers(self):
+        clients = make_clients(num_clients=3)
+        test = Dataset(*toy_separable(20, seed=9))
+        model, history, teacher_fits = run_fsml(clients, test, rounds=0,
+                                                config=FAST, seed=4, hidden=6)
+        assert teacher_fits == 0 and history.rounds == []
+        assert models_equal(model, init_model(4, 6, 5,
+                                              seed=derive_seed(4, TAG_INIT)))
+
     def test_per_round_cost_is_half_of_ftml(self):
         clients = make_clients(num_clients=3)
         test = Dataset(*toy_separable(20, seed=9))
