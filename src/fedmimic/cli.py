@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -71,6 +72,9 @@ DEFAULTS = {
     "out_dir": "out",
 }
 
+# lowest allowed value of each range-checked count; lr is checked on its own
+MINIMUM = {"rounds": 0, "clients": 1, "samples_per_client": 1, "threads": 1,
+           "k_features": 1, "rfe_step": 1}
 CHOICES = {"loss": ("mae", "xent"), "student_init": STUDENT_INIT_POLICIES}
 FLAG_HELP = {
     "config": "JSON config file; flags override it",
@@ -127,8 +131,21 @@ def resolve_config(args: argparse.Namespace) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+    check_ranges(cfg)
     cfg["mode"] = args.mode
     return cfg
+
+
+def check_ranges(cfg: dict) -> None:
+    """Values out of range, from a flag or the config file, raise ValueError
+    naming the key (exit 4)."""
+    for key, low in MINIMUM.items():
+        if cfg[key] < low:
+            raise ValueError(f"config key {key!r} must be >= {low}, "
+                             f"got {cfg[key]!r}")
+    if not (math.isfinite(cfg["lr"]) and cfg["lr"] > 0):
+        raise ValueError(f"config key 'lr' must be finite and > 0, "
+                         f"got {cfg['lr']!r}")
 
 
 def check_config_value(key: str, val) -> None:
@@ -255,6 +272,9 @@ def cmd_prep(cfg: dict) -> int:
 
 
 def load_prep(out_dir: Path, selected: bool = True):
+    """(pipeline, train, test), both splits cut to the feature mask if there is
+    one. ``selected=False`` is the select stage's input: the training split on
+    every expanded column and no test split (None)."""
     needed = ["pipeline.json", "train_X.npy", "train_y.npy", "test_X.npy",
               "test_y.npy"]
     missing = [n for n in needed if not (out_dir / n).exists()]
@@ -264,9 +284,11 @@ def load_prep(out_dir: Path, selected: bool = True):
     pipeline = PreprocessPipeline.from_json((out_dir / "pipeline.json").read_text())
     train = Dataset(np.load(out_dir / "train_X.npy"),
                     np.load(out_dir / "train_y.npy"))
+    if not selected:
+        return pipeline, train, None
     test = Dataset(np.load(out_dir / "test_X.npy"),
                    np.load(out_dir / "test_y.npy"))
-    if selected and pipeline.feature_mask:
+    if pipeline.feature_mask:
         train = Dataset(select_columns(train.X, pipeline.feature_mask), train.y)
         test = Dataset(select_columns(test.X, pipeline.feature_mask), test.y)
     return pipeline, train, test

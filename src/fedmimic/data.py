@@ -61,7 +61,7 @@ class ParseError(Exception):
     pass
 
 
-class UnknownLabelError(Exception):
+class UnknownLabelError(ParseError):
     pass
 
 
@@ -71,6 +71,7 @@ class RawRecord:
     numeric: np.ndarray             # 38 values in file order
     label: str
     difficulty: float | None = None
+    row: int = 0                    # 1-based row in its file, if parsed
 
 
 @dataclass
@@ -104,7 +105,6 @@ def parse_records(lines) -> list[RawRecord]:
     difficulty score). Raises ParseError naming the 1-based row, also for a
     nan or inf feature."""
     records = []
-    rows = []  # 1-based row of each record
     for i, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -134,14 +134,13 @@ def parse_records(lines) -> list[RawRecord]:
             except ValueError:
                 raise ParseError(f"row {i}: difficulty is not numeric: "
                                  f"{parts[NUM_FEATURES + 1]!r}") from None
-        records.append(RawRecord(nominal, numeric, label, difficulty))
-        rows.append(i)
+        records.append(RawRecord(nominal, numeric, label, difficulty, i))
     # one check after the loop; a numpy check per row is eight times slower
     numeric = np.array([r.numeric for r in records])
     if not np.isfinite(numeric).all():
         r, k = np.argwhere(~np.isfinite(numeric))[0]
-        raise ParseError(f"row {rows[r]}: field {_NUMERIC_NAMES[k]!r} is not "
-                         f"finite: {numeric[r, k]}")
+        raise ParseError(f"row {records[r].row}: field {_NUMERIC_NAMES[k]!r} "
+                         f"is not finite: {numeric[r, k]}")
     return records
 
 
@@ -182,9 +181,16 @@ def map_label(raw_label: str, mapping: dict[str, AttackClass] | None = None) -> 
 
 def map_labels(records: list[RawRecord],
                mapping: dict[str, AttackClass] | None = None) -> np.ndarray:
+    """Class of each record; an unknown label raises UnknownLabelError naming
+    the record's row."""
     if mapping is None:
         mapping = load_attack_mapping()
-    return np.array([map_label(r.label, mapping) for r in records], dtype=np.int64)
+    try:
+        return np.array([mapping[r.label] for r in records], dtype=np.int64)
+    except KeyError:
+        bad = next(r for r in records if r.label not in mapping)
+        raise UnknownLabelError(f"row {bad.row}: label {bad.label!r} is not "
+                                f"in the attack mapping") from None
 
 
 def class_counts(y: np.ndarray) -> dict[str, int]:

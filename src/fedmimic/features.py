@@ -14,8 +14,13 @@ from .data import AttackClass
 log = logging.getLogger(__name__)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-clip(z, -60, 60))), written into ``out`` if given."""
+    out = np.clip(z, -60.0, 60.0, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 @dataclass
@@ -26,7 +31,7 @@ class LogRegModel:
     epochs: int
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return _sigmoid(X @ self.weights + self.bias)
+        return _sigmoid(X @ self.weights.T + self.bias)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.predict_proba(X) >= 0.5).astype(np.int64)
@@ -45,9 +50,12 @@ class FeatureRanking:
 
 def fit_logreg(X: np.ndarray, y: np.ndarray, lr: float = 0.1,
                epochs: int = 200, seed: int = 0,
-               sample_weights: np.ndarray | None = None) -> LogRegModel:
+               sample_weights: np.ndarray | None = None,
+               mask: np.ndarray | None = None) -> LogRegModel:
     """Full-batch gradient descent on the (optionally weighted) logistic loss.
-    Weights start at zero, so the fit is deterministic regardless of seed."""
+    Weights start at zero, so the fit is deterministic regardless of seed.
+    An (n x c) ``y`` and ``sample_weights`` fit c targets at once into (c x d)
+    weights; a 0/1 (c x d) ``mask`` keeps masked weights at exactly 0."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
@@ -55,19 +63,31 @@ def fit_logreg(X: np.ndarray, y: np.ndarray, lr: float = 0.1,
     if X.shape[0] < 1:
         raise ValueError("empty training set")
     n = X.shape[0]
+    Y = y.reshape(n, -1).T                   # (c x n), one row per target
     if sample_weights is None:
-        sw = np.full(n, 1.0 / n)
+        sw = np.full(Y.shape, 1.0 / n)
     else:
-        sw = np.asarray(sample_weights, dtype=np.float64)
-        sw = sw / sw.sum()
-    w = np.zeros(X.shape[1])
-    b = 0.0
+        sw = np.asarray(sample_weights, dtype=np.float64).reshape(n, -1).T
+        sw = sw / sw.sum(axis=1, keepdims=True)
+    W = np.zeros((Y.shape[0], X.shape[1]))
+    b = np.zeros((Y.shape[0], 1))
+    # per-epoch arrays are reused: a fresh (c x n) array costs page faults
+    err, grad = np.empty(Y.shape), np.empty(W.shape)
     for _ in range(epochs):
-        p = _sigmoid(X @ w + b)
-        err = (p - y) * sw
-        w -= lr * (X.T @ err)
-        b -= lr * err.sum()
-    return LogRegModel(w, b, lr, epochs)
+        np.matmul(W, X.T, out=err)
+        err += b
+        _sigmoid(err, out=err)
+        err -= Y
+        err *= sw                            # (P - Y) * sw
+        np.matmul(err, X, out=grad)
+        if mask is not None:
+            grad *= mask
+        grad *= lr
+        W -= grad
+        b -= lr * err.sum(axis=1, keepdims=True)
+    if y.ndim == 1:
+        return LogRegModel(W[0], float(b[0, 0]), lr, epochs)
+    return LogRegModel(W, b[:, 0], lr, epochs)
 
 
 def inverse_frequency_weights(y: np.ndarray) -> np.ndarray:
@@ -88,38 +108,54 @@ def rfe(X: np.ndarray, y: np.ndarray, target_k: int = 20, step: int = 5,
     """Recursive feature elimination: refit logistic regression on the
     surviving columns, drop the `step` smallest-|weight| features, repeat
     until target_k remain. Returns survivors in original-index order."""
+    return _eliminate(X, np.asarray(y)[None, :], target_k, step, lr, epochs,
+                      balance)[0]
+
+
+def _eliminate(X: np.ndarray, targets: np.ndarray, target_k: int, step: int,
+               lr: float, epochs: int, balance: bool) -> list[list[int]]:
+    """RFE for each row of the (c x n) 0/1 ``targets``, one c-target fit per
+    elimination on the columns any target still keeps."""
     X = np.asarray(X, dtype=np.float64)
     d = X.shape[1]
     if target_k > d:
         raise ValueError(f"target_k={target_k} exceeds {d} features")
+    if target_k < 1:
+        raise ValueError(f"target_k must be >= 1, got {target_k}")
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
-    remaining = list(range(d))
-    sw = inverse_frequency_weights(y) if balance else None
-    while len(remaining) > target_k:
-        model = fit_logreg(X[:, remaining], y, lr=lr, epochs=epochs, seed=seed,
-                           sample_weights=sw)
-        drop = min(step, len(remaining) - target_k)
-        # smallest |weight| first; ties resolve to the lower original index
-        order = np.argsort(np.abs(model.weights), kind="stable")
-        dead = sorted(order[:drop], reverse=True)
-        for pos in dead:
-            remaining.pop(int(pos))
-    return remaining
+    Y = np.asarray(targets, dtype=np.float64)
+    sw = (np.stack([inverse_frequency_weights(t) for t in Y]) if balance
+          else None)
+    alive = np.ones((len(Y), d), dtype=bool)
+    remaining = d
+    while remaining > target_k:
+        union = np.flatnonzero(alive.any(axis=0))
+        XuT = X.T[union]  # C-contiguous, so the forward W @ XuT reads rows
+        model = fit_logreg(XuT.T, Y.T, lr=lr, epochs=epochs,
+                           sample_weights=None if sw is None else sw.T,
+                           mask=alive[:, union])
+        drop = min(step, remaining - target_k)
+        for c, w in enumerate(model.weights):
+            cols = np.flatnonzero(alive[c, union])
+            # smallest |weight| first; ties resolve to the lower original index
+            order = np.argsort(np.abs(w[cols]), kind="stable")
+            alive[c, union[cols[order[:drop]]]] = False
+        remaining -= drop
+    return [np.flatnonzero(row).tolist() for row in alive]
 
 
 def select_union(X: np.ndarray, labels: np.ndarray, k: int = 20,
                  step: int = 5, lr: float = 0.1, epochs: int = 200,
                  seed: int = 0, balance: bool = True) -> FeatureRanking:
-    """One-vs-rest RFE per attack class; the mask is the sorted union of the
-    five top-k lists."""
+    """One-vs-rest RFE per attack class, all five classes eliminated
+    together; the mask is the sorted union of the five top-k lists."""
     labels = np.asarray(labels)
-    per_class = {}
-    for cls in AttackClass:
-        target = (labels == cls).astype(np.int64)
-        if target.sum() == 0:
+    targets = np.stack([labels == cls for cls in AttackClass])
+    for cls, target in zip(AttackClass, targets):
+        if not target.any():
             log.warning("class %s absent from labels; RFE runs on an all-zero "
                         "target", cls.name)
-        per_class[cls.name] = rfe(X, target, target_k=k, step=step, lr=lr,
-                                  epochs=epochs, seed=seed, balance=balance)
-    return FeatureRanking.from_per_class(per_class)
+    kept = _eliminate(X, targets, k, step, lr, epochs, balance)
+    return FeatureRanking.from_per_class(
+        {cls.name: cols for cls, cols in zip(AttackClass, kept)})

@@ -1,11 +1,20 @@
+import contextlib
+import io
 import json
+import math
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedmimic.cli import (build_parser, load_prep, main, resolve_config,
-                          train_config)
+from fedmimic.cli import (MINIMUM, build_parser, load_prep, main,
+                          resolve_config, train_config)
 from fedmimic.fedsim import ClientShard, run_fl
 from fedmimic.modelio import save_model
 
@@ -84,6 +93,20 @@ class TestPrep:
         assert "row 6: field 'src_bytes'" in capsys.readouterr().err
         assert not (out / "test_X.npy").exists()
 
+    def test_unknown_label_exit_5_names_row_and_label(self, tmp_path, capsys):
+        lines = make_kdd_lines(n=30, seed=0)
+        fields = lines[3].split(",")
+        fields[-2] = "martian"  # the label; the last field is the difficulty
+        lines[3] = ",".join(fields)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(["--mode", "prep", "--train-file", str(bad),
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert "row 4: label 'martian'" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_rerun_is_byte_identical(self, prepped, tmp_path):
         out2 = tmp_path / "out2"
         assert main(["--mode", "prep", "--train-file",
@@ -107,6 +130,23 @@ class TestSelect:
 
     def test_without_prep_exit_3(self, tmp_path):
         assert main(["--mode", "select", "--out-dir", str(tmp_path)]) == 3
+
+    def test_reads_no_test_split(self, workdir):
+        (workdir / "test_X.npy").write_bytes(b"not an npy file")
+        (workdir / "test_y.npy").write_bytes(b"not an npy file")
+        assert main(["--mode", "select", "--out-dir", str(workdir),
+                     "--k-features", "3", "--rfe-step", "25"]) == 0
+
+    def test_negative_k_features_exits_4_promptly(self, workdir):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(__file__).parents[1] / "src"),
+             os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedmimic.cli", "--mode", "select",
+             "--out-dir", str(workdir), "--k-features=-1"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 4
+        assert "'k_features'" in proc.stderr
 
 
 class TestTrainModes:
@@ -236,6 +276,44 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"verbosity": 3}))
         assert main(["--mode", "central", "--out-dir", str(workdir),
                      "--config", str(cfg)]) == 4
+
+
+def _out_of_range():
+    """(key, value) pairs outside the range check_ranges allows."""
+    counts = st.sampled_from(sorted(MINIMUM)).flatmap(
+        lambda key: st.tuples(st.just(key),
+                              st.integers(max_value=MINIMUM[key] - 1)))
+    lrs = st.tuples(st.just("lr"),
+                    st.floats(max_value=0.0) | st.sampled_from(
+                        [math.nan, math.inf, -math.inf]))
+    return counts | lrs
+
+
+class TestConfigRanges:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_out_of_range(), via_file=st.booleans())
+    def test_out_of_range_exit_4_naming_key(self, tmp_path_factory, case,
+                                            via_file):
+        key, val = case
+        base = tmp_path_factory.mktemp("ranges")
+        # no prep artifacts here: without the range check fl would exit 3
+        argv = ["--mode", "fl", "--out-dir", str(base / "out")]
+        if via_file:
+            cfg = base / "cfg.json"
+            cfg.write_text(json.dumps({key: val}))  # NaN/Infinity are JSON here
+            argv += ["--config", str(cfg)]
+        else:
+            argv.append(f"--{key.replace('_', '-')}={val}")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(argv) == 4
+        assert f"config key {key!r}" in err.getvalue()
+
+    def test_boundary_values_accepted(self, workdir):
+        assert main(["--mode", "fl", "--out-dir", str(workdir),
+                     "--rounds", "0", "--threads", "1", "--lr", "1e-9",
+                     "--clients", "1", "--samples-per-client", "1",
+                     "--hidden", "4", "--epochs", "1"]) == 0
 
 
 class TestEval:

@@ -136,3 +136,74 @@ class TestSelectUnion:
     def test_union_deduplicates(self):
         per_class = {"A": [1, 2], "B": [2, 3]}
         assert FeatureRanking.from_per_class(per_class).union_mask == [1, 2, 3]
+
+
+def reference_rfe(X, y, target_k, step, lr=0.1, epochs=200, balance=True):
+    """Oracle: the single-target fit-and-drop loop that select_union ran once
+    per class before the classes were eliminated together."""
+    sw = inverse_frequency_weights(y) if balance else np.ones(len(y))
+    sw = sw / sw.sum()
+    remaining = list(range(X.shape[1]))
+    while len(remaining) > target_k:
+        Xr = X[:, remaining]
+        w, b = np.zeros(len(remaining)), 0.0
+        for _ in range(epochs):
+            p = 1.0 / (1.0 + np.exp(-np.clip(Xr @ w + b, -60.0, 60.0)))
+            err = (p - y) * sw
+            w -= lr * (Xr.T @ err)
+            b -= lr * err.sum()
+        drop = min(step, len(remaining) - target_k)
+        order = np.argsort(np.abs(w), kind="stable")
+        for pos in sorted(order[:drop], reverse=True):
+            remaining.pop(int(pos))
+    return remaining
+
+
+class TestSelectUnionOracle:
+    def _imbalanced(self, n=400, d=18, seed=7):
+        """Skewed classes with U2R absent; each present class lifts one
+        column, and columns 16-17 are all zero, so their weights tie at 0."""
+        rng = np.random.default_rng(seed)
+        y = rng.choice(5, n, p=[0.5, 0.3, 0.15, 0.05, 0.0])
+        X = rng.random((n, d))
+        for c in range(4):
+            X[:, 2 * c] += 0.8 * (y == c)
+        X[:, 16:] = 0.0
+        return X, y
+
+    @pytest.mark.parametrize("balance", [True, False])
+    @pytest.mark.parametrize("k,step", [(3, 1), (4, 5), (2, 100)])
+    def test_per_class_lists_equal_single_target_loop(self, balance, k, step):
+        X, y = self._imbalanced()
+        ranking = select_union(X, y, k=k, step=step, balance=balance)
+        for cls in AttackClass:
+            target = (y == cls).astype(np.int64)
+            assert ranking.per_class[cls.name] == reference_rfe(
+                X, target, k, step, balance=balance), cls.name
+            assert ranking.per_class[cls.name] == rfe(
+                X, target, target_k=k, step=step, balance=balance)
+
+    def test_multi_target_fit_equals_masked_single_fits(self):
+        X, y = self._imbalanced()
+        Y = np.stack([(y == c) for c in range(3)], axis=1).astype(float)
+        mask = np.ones((3, X.shape[1]))
+        mask[1, :5] = 0
+        model = fit_logreg(X, Y, epochs=50, mask=mask)
+        assert (model.weights[1, :5] == 0).all()
+        assert model.weights.shape == (3, X.shape[1])
+        for c in (0, 2):
+            single = fit_logreg(X, Y[:, c], epochs=50)
+            np.testing.assert_allclose(model.weights[c], single.weights,
+                                       rtol=1e-12, atol=1e-15)
+            assert model.bias[c] == pytest.approx(single.bias, rel=1e-12)
+        kept = fit_logreg(X[:, 5:], Y[:, 1], epochs=50)
+        np.testing.assert_allclose(model.weights[1, 5:], kept.weights,
+                                   rtol=1e-12, atol=1e-15)
+        proba = model.predict_proba(X)
+        assert proba.shape == (X.shape[0], 3)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_target_below_one_rejected(self, k):
+        X, y = self._imbalanced()
+        with pytest.raises(ValueError):
+            select_union(X, y, k=k, step=1)
