@@ -2,7 +2,7 @@
 training harness."""
 
 from .data import (AttackClass, Dataset, PreprocessPipeline, PublicSet,
-                   apply_pipeline, fit_pipeline, map_label, parse_records,
+                   apply_pipeline, fit_pipeline, map_labels, parse_records,
                    select_columns, shard_clients, split_private_public,
                    split_train_test)
 from .features import FeatureRanking, fit_logreg, rfe, select_union

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import data as D
 from .data import (Dataset, ParseError, PreprocessPipeline, PublicSet,
-                   apply_pipeline, class_counts, fit_pipeline,
+                   Records, apply_pipeline, class_counts, fit_pipeline,
                    load_attack_mapping, map_labels, parse_records,
                    select_columns, shard_clients, split_indices,
                    split_private_public)
@@ -195,6 +195,33 @@ def _resolve_dataset_path(cfg: dict, key: str, default_name: str) -> Path | None
     return None
 
 
+def read_labelled(path: Path, mapping: dict) -> tuple[Records, np.ndarray]:
+    """The records of one corpus file and their classes; a parse or label
+    error names the file."""
+    try:
+        with open(path) as f:
+            records = parse_records(f)
+        return records, map_labels(records, mapping)
+    except ParseError as e:
+        raise type(e)(f"{path}: {e}") from None
+
+
+def read_split(cfg: dict, train_path: Path, test_path: Path | None):
+    """(train, train_y, test, test_y): the given files as they are with
+    --official-split, else a seeded re-split of all their rows."""
+    mapping = load_attack_mapping(cfg["attack_map"])
+    files = [read_labelled(p, mapping) for p in (train_path, test_path) if p]
+    if cfg["official_split"]:
+        if len(files) < 2 or not len(files[1][0]):
+            raise MissingInput("--official-split requires --test-file")
+        (train, train_y), (test, test_y) = files
+        return train, train_y, test, test_y
+    corpus = Records.concat([r for r, _ in files])
+    y = np.concatenate([y for _, y in files])
+    tr, te = split_indices(len(corpus), cfg["test_fraction"], cfg["seed"])
+    return corpus.take(tr), y[tr], corpus.take(te), y[te]
+
+
 def cmd_prep(cfg: dict) -> int:
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -208,29 +235,10 @@ def cmd_prep(cfg: dict) -> int:
     if test_path is not None and not test_path.exists():
         raise MissingInput(f"test file not found: {test_path}")
 
-    mapping = load_attack_mapping(cfg["attack_map"])
-    with open(train_path) as f:
-        train_records = parse_records(f)
-    test_records = []
-    if test_path is not None:
-        with open(test_path) as f:
-            test_records = parse_records(f)
-
-    if cfg["official_split"]:
-        if not test_records:
-            raise MissingInput("--official-split requires --test-file")
-    else:
-        corpus = train_records + test_records
-        tr_idx, te_idx = split_indices(len(corpus), cfg["test_fraction"],
-                                       cfg["seed"])
-        train_records = [corpus[i] for i in tr_idx]
-        test_records = [corpus[i] for i in te_idx]
-
-    pipeline = fit_pipeline(train_records)
-    train_X = apply_pipeline(pipeline, train_records)
-    test_X = apply_pipeline(pipeline, test_records)
-    train_y = map_labels(train_records, mapping)
-    test_y = map_labels(test_records, mapping)
+    train, train_y, test, test_y = read_split(cfg, train_path, test_path)
+    pipeline = fit_pipeline(train)
+    train_X = apply_pipeline(pipeline, train)
+    test_X = apply_pipeline(pipeline, test)
 
     np.save(out_dir / "train_X.npy", train_X)
     np.save(out_dir / "train_y.npy", train_y)
@@ -240,8 +248,8 @@ def cmd_prep(cfg: dict) -> int:
 
     observed = class_counts(np.concatenate([train_y, test_y]))
     manifest = {
-        "n_train": len(train_records),
-        "n_test": len(test_records),
+        "n_train": len(train),
+        "n_test": len(test),
         "expanded_dim": pipeline.expanded_dim,
         "train_class_counts": class_counts(train_y),
         "test_class_counts": class_counts(test_y),
@@ -260,7 +268,7 @@ def cmd_prep(cfg: dict) -> int:
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1,
                                                       sort_keys=True))
-    print(f"prep: {len(train_records)} train / {len(test_records)} test, "
+    print(f"prep: {len(train)} train / {len(test)} test, "
           f"{pipeline.expanded_dim} expanded features")
     for name, count in class_counts(train_y).items():
         print(f"  train {name}: {count}")
@@ -298,7 +306,7 @@ def cmd_select(cfg: dict) -> int:
     out_dir = Path(cfg["out_dir"])
     pipeline, train, _ = load_prep(out_dir, selected=False)
     ranking = select_union(train.X, train.y, k=cfg["k_features"],
-                           step=cfg["rfe_step"], seed=cfg["seed"])
+                           step=cfg["rfe_step"])
     pipeline.feature_mask = ranking.union_mask
     pipeline.per_class_features = ranking.per_class
     (out_dir / "pipeline.json").write_text(pipeline.to_json())

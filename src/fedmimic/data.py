@@ -4,9 +4,10 @@ and the seeded splits (train/test, client shards, private/public)."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import IntEnum
 from importlib import resources
+from operator import itemgetter
 
 import numpy as np
 
@@ -29,6 +30,8 @@ FEATURE_NAMES = [
 NOMINAL_FEATURES = ["protocol_type", "service", "flag"]
 _NOMINAL_IDX = [FEATURE_NAMES.index(n) for n in NOMINAL_FEATURES]
 _NUMERIC_NAMES = [n for n in FEATURE_NAMES if n not in NOMINAL_FEATURES]
+_pick_nominal = itemgetter(*_NOMINAL_IDX)
+_pick_numeric = itemgetter(*(FEATURE_NAMES.index(n) for n in _NUMERIC_NAMES))
 NUM_FEATURES = len(FEATURE_NAMES)          # 41
 NUM_NUMERIC = len(_NUMERIC_NAMES)          # 38
 
@@ -66,12 +69,25 @@ class UnknownLabelError(ParseError):
 
 
 @dataclass
-class RawRecord:
-    nominal: tuple[str, str, str]   # protocol_type, service, flag
-    numeric: np.ndarray             # 38 values in file order
-    label: str
-    difficulty: float | None = None
-    row: int = 0                    # 1-based row in its file, if parsed
+class Records:
+    """Parsed NSL-KDD rows as columns."""
+
+    nominal: np.ndarray     # (n x 3) str: protocol_type, service, flag
+    numeric: np.ndarray     # (n x 38) float64, the other features in file order
+    labels: np.ndarray      # (n,) str
+    difficulty: np.ndarray  # (n,) float64, nan where the row has 42 fields
+    rows: np.ndarray        # (n,) 1-based row in its file
+
+    def __len__(self):
+        return len(self.rows)
+
+    def take(self, idx) -> "Records":
+        return Records(*(getattr(self, f.name)[idx] for f in fields(self)))
+
+    @classmethod
+    def concat(cls, parts: list["Records"]) -> "Records":
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts])
+                     for f in fields(cls)))
 
 
 @dataclass
@@ -100,48 +116,49 @@ class PublicSet:
         return self._truth
 
 
-def parse_records(lines) -> list[RawRecord]:
+def parse_records(lines) -> Records:
     """Parse comma-delimited NSL-KDD rows (42 fields, or 43 with the
     difficulty score). Raises ParseError naming the 1-based row, also for a
     nan or inf feature."""
-    records = []
+    rows, nominal, labels, numeric = [], [], [], []
     for i, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
+        parts = line.strip().split(",")
+        if parts == [""]:
             continue
-        parts = line.split(",")
         if len(parts) not in (NUM_FEATURES + 1, NUM_FEATURES + 2):
             raise ParseError(f"row {i}: expected 42 or 43 fields, got {len(parts)}")
-        nominal = tuple(parts[j] for j in _NOMINAL_IDX)
-        numeric = np.empty(NUM_NUMERIC)
-        k = 0
-        for j in range(NUM_FEATURES):
-            if j in _NOMINAL_IDX:
-                continue
-            try:
-                numeric[k] = float(parts[j])
-            except ValueError:
-                raise ParseError(f"row {i}: field {FEATURE_NAMES[j]!r} is not "
-                                 f"numeric: {parts[j]!r}") from None
-            k += 1
-        label = parts[NUM_FEATURES]
-        if not label:
+        if not parts[NUM_FEATURES]:
             raise ParseError(f"row {i}: empty label")
-        difficulty = None
-        if len(parts) == NUM_FEATURES + 2:
+        if "\0" in line:  # a numpy str array would drop a trailing NUL
+            j = next(j for j, text in enumerate(parts) if "\0" in text)
+            name = (FEATURE_NAMES + ["label", "difficulty"])[j]
+            raise ParseError(f"row {i}: field {name!r} holds a NUL character")
+        rows.append(i)
+        nominal.append(_pick_nominal(parts))
+        labels.append(parts[NUM_FEATURES])
+        numeric += _pick_numeric(parts)
+        numeric.append(parts[-1] if len(parts) > NUM_FEATURES + 1 else "nan")
+    width = NUM_NUMERIC + 1  # the difficulty rides along as a last column
+    try:
+        values = np.array(numeric, dtype=np.float64).reshape(-1, width)
+    except ValueError:  # float() finds the first field numpy rejected
+        for k, text in enumerate(numeric):
             try:
-                difficulty = float(parts[NUM_FEATURES + 1])
+                float(text)
             except ValueError:
-                raise ParseError(f"row {i}: difficulty is not numeric: "
-                                 f"{parts[NUM_FEATURES + 1]!r}") from None
-        records.append(RawRecord(nominal, numeric, label, difficulty, i))
-    # one check after the loop; a numpy check per row is eight times slower
-    numeric = np.array([r.numeric for r in records])
-    if not np.isfinite(numeric).all():
-        r, k = np.argwhere(~np.isfinite(numeric))[0]
-        raise ParseError(f"row {records[r].row}: field {_NUMERIC_NAMES[k]!r} "
-                         f"is not finite: {numeric[r, k]}")
-    return records
+                r, j = divmod(k, width)
+                name = (_NUMERIC_NAMES + ["difficulty"])[j]
+                raise ParseError(f"row {rows[r]}: field {name!r} is not "
+                                 f"numeric: {text!r}") from None
+        raise
+    bad = ~np.isfinite(values[:, :NUM_NUMERIC])
+    if bad.any():
+        r, k = np.argwhere(bad)[0]
+        raise ParseError(f"row {rows[r]}: field {_NUMERIC_NAMES[k]!r} "
+                         f"is not finite: {values[r, k]}")
+    return Records(np.array(nominal, dtype=str).reshape(-1, 3),
+                   values[:, :NUM_NUMERIC], np.array(labels, dtype=str),
+                   values[:, NUM_NUMERIC], np.array(rows, dtype=np.int64))
 
 
 def load_attack_mapping(path=None) -> dict[str, AttackClass]:
@@ -169,28 +186,19 @@ def load_attack_mapping(path=None) -> dict[str, AttackClass]:
     return mapping
 
 
-def map_label(raw_label: str, mapping: dict[str, AttackClass] | None = None) -> AttackClass:
-    if mapping is None:
-        mapping = load_attack_mapping()
-    try:
-        return mapping[raw_label]
-    except KeyError:
-        raise UnknownLabelError(f"label {raw_label!r} is not in the attack "
-                                f"mapping") from None
-
-
-def map_labels(records: list[RawRecord],
+def map_labels(records: Records,
                mapping: dict[str, AttackClass] | None = None) -> np.ndarray:
     """Class of each record; an unknown label raises UnknownLabelError naming
     the record's row."""
     if mapping is None:
         mapping = load_attack_mapping()
+    labels = records.labels.tolist()
     try:
-        return np.array([mapping[r.label] for r in records], dtype=np.int64)
+        return np.array([mapping[s] for s in labels], dtype=np.int64)
     except KeyError:
-        bad = next(r for r in records if r.label not in mapping)
-        raise UnknownLabelError(f"row {bad.row}: label {bad.label!r} is not "
-                                f"in the attack mapping") from None
+        i = next(i for i, s in enumerate(labels) if s not in mapping)
+        raise UnknownLabelError(f"row {records.rows[i]}: label {labels[i]!r} "
+                                f"is not in the attack mapping") from None
 
 
 def class_counts(y: np.ndarray) -> dict[str, int]:
@@ -242,52 +250,29 @@ class PreprocessPipeline:
                    per_class_features=doc.get("per_class_features", {}))
 
 
-def fit_pipeline(records: list[RawRecord]) -> PreprocessPipeline:
+def fit_pipeline(records: Records) -> PreprocessPipeline:
     """Fit vocabularies (sorted) and min/max ranges on training records only."""
-    if not records:
+    if not len(records):
         raise ValueError("cannot fit a pipeline on zero records")
-    vocabs = {}
-    for pos, fname in enumerate(NOMINAL_FEATURES):
-        vocabs[fname] = sorted({r.nominal[pos] for r in records})
-    numeric = np.stack([r.numeric for r in records])
-    return PreprocessPipeline(vocabs=vocabs, mins=numeric.min(axis=0),
-                              maxs=numeric.max(axis=0))
+    vocabs = {fname: np.unique(col).tolist()
+              for fname, col in zip(NOMINAL_FEATURES, records.nominal.T)}
+    return PreprocessPipeline(vocabs=vocabs, mins=records.numeric.min(axis=0),
+                              maxs=records.numeric.max(axis=0))
 
 
-def apply_pipeline(pipeline: PreprocessPipeline,
-                   records: list[RawRecord]) -> np.ndarray:
+def apply_pipeline(pipeline: PreprocessPipeline, records: Records) -> np.ndarray:
     """Expanded feature matrix in [0,1]. Unseen nominal values become an
     all-zero block; out-of-range numerics clip; min==max columns emit 0."""
-    n = len(records)
-    out = np.zeros((n, pipeline.expanded_dim))
-    vocab_index = {fname: {v: i for i, v in enumerate(pipeline.vocabs[fname])}
-                   for fname in NOMINAL_FEATURES}
-    # column offsets per original feature
-    col = 0
-    offsets = []
-    for fname in FEATURE_NAMES:
-        offsets.append(col)
-        col += len(pipeline.vocabs[fname]) if fname in NOMINAL_FEATURES else 1
-
     span = pipeline.maxs - pipeline.mins
     safe_span = np.where(span > 0, span, 1.0)
-    numeric = np.stack([r.numeric for r in records]) if n else np.zeros((0, NUM_NUMERIC))
-    scaled = np.clip((numeric - pipeline.mins) / safe_span, 0.0, 1.0)
+    scaled = np.clip((records.numeric - pipeline.mins) / safe_span, 0.0, 1.0)
     scaled[:, span == 0] = 0.0
-
-    k = 0
-    for j, fname in enumerate(FEATURE_NAMES):
-        if fname in NOMINAL_FEATURES:
-            pos = NOMINAL_FEATURES.index(fname)
-            idx = vocab_index[fname]
-            for i, r in enumerate(records):
-                c = idx.get(r.nominal[pos])
-                if c is not None:
-                    out[i, offsets[j] + c] = 1.0
-        else:
-            out[:, offsets[j]] = scaled[:, k]
-            k += 1
-    return out
+    one_hot = [col[:, None] == np.array(pipeline.vocabs[fname], dtype=str)
+               for fname, col in zip(NOMINAL_FEATURES, records.nominal.T)]
+    # the nominal features sit next to each other in file order
+    first = _NOMINAL_IDX[0]
+    return np.hstack([scaled[:, :first], *one_hot, scaled[:, first:]],
+                     dtype=np.float64)
 
 
 def select_columns(matrix: np.ndarray, mask) -> np.ndarray:
@@ -302,10 +287,15 @@ def select_columns(matrix: np.ndarray, mask) -> np.ndarray:
 
 def split_indices(n: int, test_fraction: float = 0.10,
                   seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded (train, test) index partition; test size rounds to fraction."""
+    """Seeded (train, test) index partition; test size rounds to fraction,
+    and neither side may be empty."""
     if not (0.0 < test_fraction < 1.0):
         raise ValueError(f"test_fraction must be in (0,1), got {test_fraction}")
     n_test = int(round(n * test_fraction))
+    if not 0 < n_test < n:
+        raise ValueError(f"test_fraction {test_fraction} splits {n} rows into "
+                         f"{n - n_test} train / {n_test} test; both must be "
+                         f"non-empty")
     order = np.random.default_rng(seed).permutation(n)
     return order[n_test:], order[:n_test]
 

@@ -27,8 +27,6 @@ def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 class LogRegModel:
     weights: np.ndarray
     bias: float
-    lr: float
-    epochs: int
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return _sigmoid(X @ self.weights.T + self.bias)
@@ -49,11 +47,10 @@ class FeatureRanking:
 
 
 def fit_logreg(X: np.ndarray, y: np.ndarray, lr: float = 0.1,
-               epochs: int = 200, seed: int = 0,
-               sample_weights: np.ndarray | None = None,
+               epochs: int = 200, sample_weights: np.ndarray | None = None,
                mask: np.ndarray | None = None) -> LogRegModel:
     """Full-batch gradient descent on the (optionally weighted) logistic loss.
-    Weights start at zero, so the fit is deterministic regardless of seed.
+    Weights start at zero, so the fit is deterministic.
     An (n x c) ``y`` and ``sample_weights`` fit c targets at once into (c x d)
     weights; a 0/1 (c x d) ``mask`` keeps masked weights at exactly 0."""
     X = np.asarray(X, dtype=np.float64)
@@ -86,8 +83,8 @@ def fit_logreg(X: np.ndarray, y: np.ndarray, lr: float = 0.1,
         W -= grad
         b -= lr * err.sum(axis=1, keepdims=True)
     if y.ndim == 1:
-        return LogRegModel(W[0], float(b[0, 0]), lr, epochs)
-    return LogRegModel(W, b[:, 0], lr, epochs)
+        return LogRegModel(W[0], float(b[0, 0]))
+    return LogRegModel(W, b[:, 0])
 
 
 def inverse_frequency_weights(y: np.ndarray) -> np.ndarray:
@@ -103,8 +100,7 @@ def inverse_frequency_weights(y: np.ndarray) -> np.ndarray:
 
 
 def rfe(X: np.ndarray, y: np.ndarray, target_k: int = 20, step: int = 5,
-        lr: float = 0.1, epochs: int = 200, seed: int = 0,
-        balance: bool = True) -> list[int]:
+        lr: float = 0.1, epochs: int = 200, balance: bool = True) -> list[int]:
     """Recursive feature elimination: refit logistic regression on the
     surviving columns, drop the `step` smallest-|weight| features, repeat
     until target_k remain. Returns survivors in original-index order."""
@@ -147,7 +143,7 @@ def _eliminate(X: np.ndarray, targets: np.ndarray, target_k: int, step: int,
 
 def select_union(X: np.ndarray, labels: np.ndarray, k: int = 20,
                  step: int = 5, lr: float = 0.1, epochs: int = 200,
-                 seed: int = 0, balance: bool = True) -> FeatureRanking:
+                 balance: bool = True) -> FeatureRanking:
     """One-vs-rest RFE per attack class, all five classes eliminated
     together; the mask is the sorted union of the five top-k lists."""
     labels = np.asarray(labels)

@@ -107,6 +107,33 @@ class TestPrep:
         assert "row 4: label 'martian'" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_error_in_test_file_names_the_file(self, tmp_path, capsys):
+        train = tmp_path / "tr.txt"
+        train.write_text("\n".join(make_kdd_lines(n=30, seed=0)) + "\n")
+        lines = make_kdd_lines(n=5, seed=1)
+        fields = lines[1].split(",")
+        fields[-2] = "martian"
+        lines[1] = ",".join(fields)
+        test = tmp_path / "te.txt"
+        test.write_text("\n".join(lines) + "\n")
+        rc = main(["--mode", "prep", "--train-file", str(train),
+                   "--test-file", str(test), "--out-dir", str(tmp_path / "o")])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert f"{test}: row 2: label 'martian'" in err
+        assert "tr.txt" not in err
+
+    @pytest.mark.parametrize("fraction", ["0.001", "0.999"])
+    def test_empty_split_exit_4_writes_nothing(self, kdd_file, tmp_path,
+                                               fraction, capsys):
+        out = tmp_path / "o"
+        rc = main(["--mode", "prep", "--train-file", str(kdd_file(n=300)),
+                   "--test-fraction", fraction, "--out-dir", str(out)])
+        assert rc == 4
+        assert "test_fraction" in capsys.readouterr().err
+        assert not (out / "train_X.npy").exists()
+        assert not (out / "runmeta.json").exists()
+
     def test_rerun_is_byte_identical(self, prepped, tmp_path):
         out2 = tmp_path / "out2"
         assert main(["--mode", "prep", "--train-file",

@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedmimic.data import (AttackClass, Dataset, ParseError,
-                           PreprocessPipeline, UnknownLabelError,
-                           apply_pipeline, class_counts, fit_pipeline,
-                           load_attack_mapping, map_label, parse_records,
-                           select_columns, shard_clients, split_private_public,
-                           split_train_test)
+from fedmimic.data import (FEATURE_NAMES, NOMINAL_FEATURES, AttackClass,
+                           Dataset, ParseError, PreprocessPipeline,
+                           UnknownLabelError, apply_pipeline, class_counts,
+                           fit_pipeline, load_attack_mapping, map_labels,
+                           parse_records, select_columns, shard_clients,
+                           split_private_public, split_train_test)
 from fedmimic.nn import init_model
 
 from conftest import make_kdd_lines
@@ -19,11 +23,12 @@ KDDTRAIN_ROW_1 = ("0,tcp,ftp_data,SF,491,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,"
 
 class TestParse:
     def test_official_first_row(self):
-        (rec,) = parse_records([KDDTRAIN_ROW_1])
-        assert rec.nominal == ("tcp", "ftp_data", "SF")
-        assert rec.label == "normal"
-        assert rec.difficulty == 20.0
-        assert rec.numeric[0] == 0.0 and rec.numeric[1] == 491.0
+        recs = parse_records([KDDTRAIN_ROW_1])
+        assert len(recs) == 1
+        assert tuple(recs.nominal[0]) == ("tcp", "ftp_data", "SF")
+        assert recs.labels[0] == "normal"
+        assert recs.difficulty[0] == 20.0
+        assert recs.numeric[0, 0] == 0.0 and recs.numeric[0, 1] == 491.0
 
     def test_wrong_field_count_names_row(self):
         with pytest.raises(ParseError, match="row 2"):
@@ -41,8 +46,24 @@ class TestParse:
         with pytest.raises(ParseError, match="row 3: field 'src_bytes'"):
             parse_records([KDDTRAIN_ROW_1, "", bad])
 
+    def test_unparseable_difficulty_names_row(self):
+        bad = KDDTRAIN_ROW_1.rsplit(",", 1)[0] + ",hard"
+        with pytest.raises(ParseError, match="row 2: field 'difficulty' is "
+                                             "not numeric: 'hard'"):
+            parse_records([KDDTRAIN_ROW_1, bad])
+
+    @pytest.mark.parametrize("old, new, name", [
+        (",tcp,", ",tcp\0,", "protocol_type"),
+        (",normal,", ",normal\0,", "label"),
+        (",491,", ",4\x0091,", "src_bytes")])
+    def test_nul_character_names_row_and_field(self, old, new, name):
+        bad = KDDTRAIN_ROW_1.replace(old, new)
+        with pytest.raises(ParseError, match=f"row 1: field '{name}' holds a "
+                                             f"NUL character"):
+            parse_records([bad])
+
     def test_empty_stream(self):
-        assert parse_records([]) == []
+        assert len(parse_records([])) == 0
 
     def test_synthetic_corpus_round_count(self):
         lines = make_kdd_lines(n=50, seed=0)
@@ -50,20 +71,27 @@ class TestParse:
 
     def test_42_field_row_without_difficulty(self):
         row = KDDTRAIN_ROW_1.rsplit(",", 1)[0]
-        (rec,) = parse_records([row])
-        assert rec.difficulty is None
+        recs = parse_records([row])
+        assert len(recs) == 1
+        assert np.isnan(recs.difficulty[0])
+
+
+def label_of(raw_label, mapping=None):
+    """The class map_labels gives a one-row file with this label."""
+    row = KDDTRAIN_ROW_1.replace(",normal,", f",{raw_label},")
+    return AttackClass(map_labels(parse_records([row]), mapping)[0])
 
 
 class TestLabelMapping:
     def test_normal(self):
-        assert map_label("normal") is AttackClass.Normal
+        assert label_of("normal") is AttackClass.Normal
 
     def test_neptune_is_dos(self):
-        assert map_label("neptune") is AttackClass.DoS
+        assert label_of("neptune") is AttackClass.DoS
 
     def test_unknown_label(self):
-        with pytest.raises(UnknownLabelError):
-            map_label("frobnicate")
+        with pytest.raises(UnknownLabelError, match="row 1: label 'frobnicate'"):
+            label_of("frobnicate")
 
     def test_shipped_mapping_covers_families(self):
         mapping = load_attack_mapping()
@@ -76,7 +104,7 @@ class TestLabelMapping:
         path = tmp_path / "map.tsv"
         path.write_text("weird\tProbe\nnormal\tNormal\n")
         mapping = load_attack_mapping(path)
-        assert map_label("weird", mapping) is AttackClass.Probe
+        assert label_of("weird", mapping) is AttackClass.Probe
 
     def test_bad_class_name_rejected(self, tmp_path):
         path = tmp_path / "map.tsv"
@@ -155,6 +183,160 @@ class TestPipeline:
         text = pipe.to_json()
         again = PreprocessPipeline.from_json(text).to_json()
         assert text == again
+
+
+def reference_parse(lines):
+    """The per-row parser the column table replaced: one (nominal, numeric,
+    label, difficulty, row) tuple per row."""
+    nominal_idx = [FEATURE_NAMES.index(n) for n in NOMINAL_FEATURES]
+    records = []
+    for i, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        numeric = np.array([float(parts[j]) for j in range(41)
+                            if j not in nominal_idx])
+        difficulty = float(parts[42]) if len(parts) == 43 else None
+        records.append((tuple(parts[j] for j in nominal_idx), numeric,
+                        parts[41], difficulty, i))
+    return records
+
+
+def reference_fit(records):
+    vocabs = {fname: sorted({r[0][pos] for r in records})
+              for pos, fname in enumerate(NOMINAL_FEATURES)}
+    numeric = np.stack([r[1] for r in records])
+    return vocabs, numeric.min(axis=0), numeric.max(axis=0)
+
+
+def reference_apply(vocabs, mins, maxs, records):
+    """Per-row one-hot into a zero matrix at per-feature column offsets."""
+    dim = 38 + sum(len(v) for v in vocabs.values())
+    out = np.zeros((len(records), dim))
+    offsets, col = [], 0
+    for fname in FEATURE_NAMES:
+        offsets.append(col)
+        col += len(vocabs[fname]) if fname in NOMINAL_FEATURES else 1
+    span = maxs - mins
+    numeric = (np.stack([r[1] for r in records]) if records
+               else np.zeros((0, 38)))
+    scaled = np.clip((numeric - mins) / np.where(span > 0, span, 1.0), 0, 1)
+    scaled[:, span == 0] = 0.0
+    k = 0
+    for j, fname in enumerate(FEATURE_NAMES):
+        if fname in NOMINAL_FEATURES:
+            pos = NOMINAL_FEATURES.index(fname)
+            index = {v: c for c, v in enumerate(vocabs[fname])}
+            for i, r in enumerate(records):
+                c = index.get(r[0][pos])
+                if c is not None:
+                    out[i, offsets[j] + c] = 1.0
+        else:
+            out[:, offsets[j]] = scaled[:, k]
+            k += 1
+    return out
+
+
+def set_field(line, j, value):
+    parts = line.split(",")
+    parts[j] = value
+    return ",".join(parts)
+
+
+def oracle_corpus(seed):
+    """Train and test lines with blank lines, rows of 42 and 43 fields, a
+    constant train column (urgent), an unseen test service and test values
+    outside the train range."""
+    train = [set_field(line, 8, "0.5")
+             for line in make_kdd_lines(n=300, seed=seed)]
+    test = make_kdd_lines(n=80, seed=seed + 100)
+    test[0] = set_field(test[0], 2, "ftp_data")
+    test[1] = set_field(test[1], 4, "99999")
+    test[2] = set_field(test[2], 0, "-7")
+    test[3] = set_field(test[3], 8, "2")
+    for lines, every in ((train, 3), (test, 4)):
+        for i in range(0, len(lines), every):
+            lines[i] = lines[i].rsplit(",", 1)[0]
+        for i in range(len(lines) - 10, 0, -50):
+            lines.insert(i, "" if i % 2 else "   ")
+    return train, test
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestColumnsOracle:
+    """The column table gives bit-equal results to the per-row pipeline."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equal_to_per_row_pipeline(self, seed):
+        train_lines, test_lines = oracle_corpus(seed)
+        ref_train = reference_parse(train_lines)
+        ref_test = reference_parse(test_lines)
+        vocabs, mins, maxs = reference_fit(ref_train)
+        assert "ftp_data" not in vocabs["service"]
+        assert mins[5] == maxs[5] == 0.5  # urgent is constant in train
+
+        train, test = parse_records(train_lines), parse_records(test_lines)
+        pipe = fit_pipeline(train)
+        assert pipe.vocabs == vocabs
+        assert same_bits(pipe.mins, mins) and same_bits(pipe.maxs, maxs)
+        for recs, ref in ((train, ref_train), (test, ref_test)):
+            X = apply_pipeline(pipe, recs)
+            assert same_bits(X, reference_apply(vocabs, mins, maxs, ref))
+            mapping = load_attack_mapping()
+            assert same_bits(map_labels(recs, mapping),
+                             np.array([mapping[r[2]] for r in ref]))
+            assert recs.rows.tolist() == [r[4] for r in ref]
+            assert same_bits(recs.difficulty, [np.nan if r[3] is None
+                                               else r[3] for r in ref])
+        assert X.max() <= 1.0 and X.min() >= 0.0
+
+    def test_empty_input(self):
+        train_lines, _ = oracle_corpus(0)
+        pipe = fit_pipeline(parse_records(train_lines))
+        vocabs, mins, maxs = reference_fit(reference_parse(train_lines))
+        empty = parse_records(["", "  "])
+        assert len(empty) == 0 and len(map_labels(empty)) == 0
+        assert same_bits(apply_pipeline(pipe, empty),
+                         reference_apply(vocabs, mins, maxs, []))
+        with pytest.raises(ValueError):
+            fit_pipeline(empty)
+
+
+# numeric fields after the nominal ones, so the line's own strip() cannot
+# reach the field under test
+NUMERIC_FIELD = st.integers(4, 40)
+FIELD_TEXT = st.one_of(
+    st.text(max_size=8),
+    st.from_regex(r"\A[ +-]?[0-9_.eE]{0,6}\Z"),
+    st.floats().map(repr),
+    st.sampled_from(["1_0", " 1", "nan", "-nan", "Infinity", "\u0661\u0662",
+                     "0x10", "", "1e999", "-0", "5.", ".5", "1__0"]),
+).filter(lambda text: "," not in text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(j=NUMERIC_FIELD, text=FIELD_TEXT)
+def test_numeric_field_accepted_exactly_when_float_accepts(j, text):
+    lines = [KDDTRAIN_ROW_1, set_field(KDDTRAIN_ROW_1, j, text)]
+    try:
+        expected = float(text)
+    except ValueError:
+        with pytest.raises(ParseError, match=f"^row 2: field "
+                                             f"'{FEATURE_NAMES[j]}' "):
+            parse_records(lines)
+        return
+    if not math.isfinite(expected):
+        with pytest.raises(ParseError, match=f"^row 2: field "
+                                             f"'{FEATURE_NAMES[j]}' is not finite"):
+            parse_records(lines)
+        return
+    recs = parse_records(lines)
+    assert same_bits(recs.numeric[1, j - 3], np.float64(expected))
 
 
 class TestSelectColumns:
