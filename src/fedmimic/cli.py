@@ -174,7 +174,11 @@ def train_config(cfg: dict) -> TrainConfig:
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def write_runmeta(out_dir: Path, cfg: dict, artifacts: list[Path]):
@@ -281,8 +285,9 @@ def cmd_prep(cfg: dict) -> int:
 
 def load_prep(out_dir: Path, selected: bool = True):
     """(pipeline, train, test), both splits cut to the feature mask if there is
-    one. ``selected=False`` is the select stage's input: the training split on
-    every expanded column and no test split (None)."""
+    one and cast to float32, the dtype models train and predict in.
+    ``selected=False`` is the select stage's input: the float64 training split
+    on every expanded column and no test split (None)."""
     needed = ["pipeline.json", "train_X.npy", "train_y.npy", "test_X.npy",
               "test_y.npy"]
     missing = [n for n in needed if not (out_dir / n).exists()]
@@ -299,7 +304,8 @@ def load_prep(out_dir: Path, selected: bool = True):
     if pipeline.feature_mask:
         train = Dataset(select_columns(train.X, pipeline.feature_mask), train.y)
         test = Dataset(select_columns(test.X, pipeline.feature_mask), test.y)
-    return pipeline, train, test
+    return (pipeline, Dataset(train.X.astype(np.float32), train.y),
+            Dataset(test.X.astype(np.float32), test.y))
 
 
 def cmd_select(cfg: dict) -> int:

@@ -86,13 +86,15 @@ def fedavg(models: list[ModelParams],
         if m.dims != ref.dims:
             raise ValueError(f"model shape mismatch: {ref.dims} vs {m.dims}")
     # left fold in list order, starting from zeros: the order a per-layer
-    # sum() over the models adds in, so the bits match it
-    avg = np.zeros_like(ref.buf)
-    term = np.empty_like(ref.buf)
+    # sum() over the models adds in, so the bits match it. The fold runs in
+    # float64 and rounds once into the models' dtype, so a float32 mean takes
+    # one float32 rounding, not one per client
+    avg = np.zeros(ref.buf.shape, np.float64)
+    term = np.empty_like(avg)
     for wi, m in zip(w, models):
         np.multiply(wi, m.buf, out=term)
         avg += term
-    return ref.like(avg)
+    return ref.like(avg.astype(ref.buf.dtype, copy=False))
 
 
 def test_accuracy(model: ModelParams, test: Dataset) -> float:

@@ -4,7 +4,9 @@ Layout (little-endian): magic "FMIM1", uint32 layer count, uint8 loss id
 (0=mae, 1=xent), then per layer uint32 in_dim, uint32 out_dim, uint8
 activation id (0=relu, 1=softmax); then per layer the row-major float32
 weight matrix followed by the float32 bias vector. That payload is
-`ModelParams.buf` in float32.
+`ModelParams.buf` in float32, so a model trained in float32 is saved and
+loaded exactly. load_model accepts only a finite model with one output per
+attack class.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import struct
 
 import numpy as np
 
+from .data import AttackClass
 from .nn import LOSS_MAE, LOSS_XENT, RELU, SOFTMAX, ModelParams
 
 MAGIC = b"FMIM1"
@@ -69,9 +72,14 @@ def load_model(path) -> tuple[ModelParams, str]:
                                    f"in {path}")
         dims.append((in_d, out_d))
         acts.append(act)
+    if dims[-1][1] != len(AttackClass):
+        raise ModelFormatError(f"output layer has {dims[-1][1]} classes in "
+                               f"{path}, expected {len(AttackClass)}")
     n = sum(o * i + o for i, o in dims)
     if len(data) - off != 4 * n:
         raise ModelFormatError(f"payload of {len(data) - off} bytes in {path}, "
                                f"layer dims need {4 * n}")
     buf = np.frombuffer(data, dtype="<f4", count=n, offset=off)
-    return ModelParams(dims, acts, buf.astype(np.float64)), _LOSS_NAMES[loss_id]
+    if not np.isfinite(buf).all():
+        raise ModelFormatError(f"non-finite parameters in {path}")
+    return ModelParams(dims, acts, buf.astype(np.float32)), _LOSS_NAMES[loss_id]

@@ -1,6 +1,7 @@
 """From-scratch feed-forward MLP: ReLU hidden layers, softmax output, dropout,
 Adam optimizer, MAE or cross-entropy loss. Everything is deterministic under a
-seed and operates on plain numpy arrays (float64)."""
+seed and operates on plain numpy arrays in the dtype of the parameter vector:
+float32 from init_model (the dtype .fmim stores), or float64."""
 
 from __future__ import annotations
 
@@ -14,15 +15,16 @@ SOFTMAX = 1
 LOSS_MAE = "mae"
 LOSS_XENT = "xent"
 
-# clamp for log() in cross-entropy
+# clamp for log() in cross-entropy, and the least nonzero softmax probability
 _P_MIN = 1e-12
 
 
 class ModelParams:
-    """Dense MLP parameters in one contiguous float64 vector `buf`, laid out
-    W0,b0,W1,b1,... (the .fmim payload order). `dims[k]` is layer k's
-    (in, out); weights[k] (out, in) and biases[k] (out,) are views into `buf`,
-    so writing through them writes the vector."""
+    """Dense MLP parameters in one contiguous vector `buf`, float32 or float64
+    (zeros of float64 when none is given), laid out W0,b0,W1,b1,... (the
+    .fmim payload order). `dims[k]` is layer k's (in, out); weights[k]
+    (out, in) and biases[k] (out,) are views into `buf`, so writing through
+    them writes the vector."""
 
     def __init__(self, dims, activations, buf: np.ndarray | None = None):
         self.dims = [(int(i), int(o)) for i, o in dims]
@@ -30,9 +32,10 @@ class ModelParams:
         size = sum(o * i + o for i, o in self.dims)
         if buf is None:
             buf = np.zeros(size)
-        if buf.shape != (size,) or buf.dtype != np.float64:
-            raise ValueError(f"parameter vector {buf.dtype}{buf.shape} does not "
-                             f"fit layer dims {self.dims}")
+        if buf.shape != (size,) or buf.dtype not in (np.float32, np.float64):
+            raise ValueError(f"parameter vector {buf.dtype}{buf.shape} is not "
+                             f"a float32/float64 vector for layer dims "
+                             f"{self.dims}")
         self.buf = buf
         self.weights, self.biases = [], []
         off = 0
@@ -126,13 +129,19 @@ def init_model(input_dim: int, hidden: int = 256, classes: int = 5,
         fan_out, fan_in = w.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         w[...] = rng.uniform(-limit, limit, size=w.shape)
-    return model
+    return model.like(model.buf.astype(np.float32))
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax; probabilities below _P_MIN are exactly 0. In float32
+    the deltas and gradients of a saturated network's tiny probabilities
+    would fall into the subnormal range, where arithmetic is many times
+    slower. Such a probability is far below the rounding of its row's sum."""
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    p = e / e.sum(axis=1, keepdims=True)
+    p[p < _P_MIN] = 0.0
+    return p
 
 
 class Workspace:
@@ -146,11 +155,12 @@ class Workspace:
         outs = [o for _, o in model.dims]
         self.grad = np.empty_like(model.buf)
         self.post, self.masks, self.errors = (
-            [np.empty((rows, o)) for o in outs] for _ in range(3))
+            [np.empty((rows, o), model.buf.dtype) for o in outs]
+            for _ in range(3))
 
 
 def _check_batch(model, batch):
-    batch = np.asarray(batch, dtype=np.float64)
+    batch = np.asarray(batch, dtype=model.buf.dtype)
     if batch.ndim != 2 or batch.shape[1] != model.input_dim:
         raise ValueError(f"batch shape {batch.shape} does not match "
                          f"input_dim {model.input_dim}")
@@ -175,8 +185,9 @@ def _forward_cached(model, batch, dropout_rate, rng, training, work):
             if training and dropout_rate > 0.0:
                 keep = 1.0 - dropout_rate
                 # inverted dropout: scale kept units so inference needs no rescale
-                mask = rng.random(out=work.masks[k][:n])
-                np.divide(mask < keep, keep, out=mask)
+                mask = rng.random(out=work.masks[k][:n], dtype=a.dtype)
+                # dtype=: a bool / float division would run in float64
+                np.divide(mask < keep, keep, out=mask, dtype=a.dtype)
                 a *= mask
         masks.append(mask)
         post.append(a)
@@ -230,7 +241,7 @@ def backward(model: ModelParams, batch: np.ndarray, targets: np.ndarray,
     the ones differentiated. Given a workspace, the gradient is `work.grad`
     and is overwritten by the next call that uses it."""
     batch = _check_batch(model, batch)
-    targets = np.asarray(targets, dtype=np.float64)
+    targets = np.asarray(targets, dtype=model.buf.dtype)
     if work is None:
         work = Workspace(model, batch.shape[0])
     training = config.dropout_rate > 0.0 and rng is not None
@@ -295,9 +306,9 @@ def adam_step(model: ModelParams, grad: np.ndarray, state: AdamState,
     model.check_finite()
 
 
-def to_one_hot(y: np.ndarray, classes: int) -> np.ndarray:
+def to_one_hot(y: np.ndarray, classes: int, dtype=np.float64) -> np.ndarray:
     y = np.asarray(y, dtype=np.int64)
-    out = np.zeros((y.shape[0], classes))
+    out = np.zeros((y.shape[0], classes), dtype)
     out[np.arange(y.shape[0]), y] = 1.0
     return out
 
@@ -312,7 +323,7 @@ def train_local(model: ModelParams, X: np.ndarray, y: np.ndarray,
     on), before that batch's update.
     """
     config.validate()
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X, dtype=model.buf.dtype)
     y = np.asarray(y, dtype=np.int64)
     if X.shape[0] == 0:
         raise ValueError("empty training set")
@@ -321,7 +332,7 @@ def train_local(model: ModelParams, X: np.ndarray, y: np.ndarray,
     model = model.copy()
     if config.epochs == 0:
         return model, []
-    targets = to_one_hot(y, model.num_classes)
+    targets = to_one_hot(y, model.num_classes, model.buf.dtype)
     rng = np.random.default_rng(config.seed)
     n = X.shape[0]
     state = AdamState.zeros_like(model)
@@ -343,7 +354,7 @@ def train_local(model: ModelParams, X: np.ndarray, y: np.ndarray,
 
 def predict(model: ModelParams, batch: np.ndarray) -> np.ndarray:
     """Argmax class per row, dropout off; ties resolve to the lowest index."""
-    batch = np.asarray(batch, dtype=np.float64)
+    batch = np.asarray(batch, dtype=model.buf.dtype)
     if batch.shape[0] == 0:
         return np.zeros(0, dtype=np.int64)
     probs = forward(model, batch, training=False)

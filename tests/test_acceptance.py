@@ -154,6 +154,7 @@ def test_criterion_4_cost_claim():
 def test_criterion_7_gradient_check(kind):
     rng = np.random.default_rng(42)
     model = init_model(8, 7, 5, seed=3)
+    model = model.like(model.buf.astype(np.float64))  # exact float64 check
     X = rng.random((5, 8))
     T = to_one_hot(rng.integers(0, 5, 5), 5)
     cfg = TrainConfig(dropout_rate=0.0, loss=kind)

@@ -427,6 +427,38 @@ class TestEval:
                      "--model-file", str(bad)]) == 5
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case,message", [
+        ("seven_classes", "output layer has 7 classes"),
+        ("nan_weight", "non-finite parameters"),
+    ])
+    def test_unusable_model_exit_5(self, workdir, tmp_path, capsys, case,
+                                   message):
+        from fedmimic.nn import init_model
+        width = load_prep(workdir)[1].X.shape[1]
+        model = init_model(width, 3, 7 if case == "seven_classes" else 5,
+                           seed=0)
+        if case == "nan_weight":
+            model.weights[1][0, 2] = np.nan
+        bad = tmp_path / f"{case}.fmim"
+        save_model(model, bad)
+        capsys.readouterr()
+        assert main(["--mode", "eval", "--out-dir", str(workdir),
+                     "--model-file", str(bad)]) == 5
+        err = capsys.readouterr().err.strip()
+        assert message in err and "\n" not in err
+        assert not (workdir / "eval_report.json").exists()
+
+    @pytest.mark.parametrize("mode", ["central", "fl", "ftml", "fsml"])
+    def test_eval_reproduces_training_report_exactly(self, workdir, mode):
+        # the saved model is the trained model, so eval predicts the same
+        # classes on every test row
+        assert main(["--mode", mode, "--out-dir", str(workdir)]
+                    + TRAIN_FLAGS) == 0
+        assert main(["--mode", "eval", "--out-dir", str(workdir)]) == 0
+        for ext in ("txt", "csv", "json"):
+            assert ((workdir / f"eval_report.{ext}").read_bytes()
+                    == (workdir / f"report.{ext}").read_bytes())
+
     def test_dimension_mismatch_exit_5(self, workdir, tmp_path):
         from fedmimic.modelio import save_model
         from fedmimic.nn import init_model

@@ -71,6 +71,7 @@ class TestFedAvg:
         # models does, so the result keeps every bit
         rng = np.random.default_rng(7)
         models = [init_model(9, 12, 5, seed=s) for s in range(4)]
+        models = [m.like(m.buf.astype(np.float64)) for m in models]
         for m in models:
             m.buf[:] = rng.standard_normal(m.buf.size)
         weights = [0.7, 2.0, 1.3, 0.1]

@@ -126,6 +126,7 @@ class TestBackward:
         # central finite differences on the full loss, dropout off
         rng = np.random.default_rng(0)
         m = init_model(7, 6, 5, seed=4)
+        m = m.like(m.buf.astype(np.float64))  # exact float64 check
         X = rng.random((5, 7))
         T = to_one_hot(rng.integers(0, 5, 5), 5)
         cfg = TrainConfig(dropout_rate=0.0, loss=kind)
@@ -213,6 +214,66 @@ class TestAdamStep:
         g = np.zeros(5)  # a (2, 2) weight plus one bias; the model has 1 + 1
         with pytest.raises(ValueError):
             adam_step(m, g, AdamState.zeros_like(m), TrainConfig())
+
+
+class TestDtype:
+    """Arithmetic stays in the parameter vector's dtype: nothing a step
+    allocates or returns is silently upcast."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_array_keeps_the_model_dtype(self, dtype, tmp_path):
+        from fedmimic.fedsim import fedavg
+        from fedmimic.modelio import load_model, save_model
+        m = init_model(4, 8, 5, seed=0)
+        assert m.buf.dtype == np.float32
+        m = m.like(m.buf.astype(dtype))
+        X, y = toy_separable(40, seed=1)  # float64 features
+        cfg = TrainConfig(epochs=2, batch_size=16, seed=3)
+        trained, losses = train_local(m, X, y, cfg)
+        assert trained.buf.dtype == dtype and np.isfinite(losses).all()
+        assert all(a.dtype == dtype for a in trained.weights + trained.biases)
+
+        work = Workspace(m, 16)
+        grad, probs = backward(m, X[:16], to_one_hot(y[:16], 5), cfg,
+                               np.random.default_rng(0), work)
+        assert grad.dtype == probs.dtype == dtype
+        assert all(a.dtype == dtype
+                   for a in [work.grad, *work.post, *work.masks, *work.errors])
+        state = AdamState.zeros_like(m)
+        adam_step(m, grad, state, cfg)
+        assert m.buf.dtype == dtype
+        assert all(a.dtype == dtype for a in (state.m, state.v, *state.temps))
+        assert forward(m, X).dtype == dtype
+
+        assert fedavg([m, trained], [1.0, 3.0]).buf.dtype == dtype
+        path = tmp_path / "m.fmim"
+        save_model(trained, path)
+        loaded, _ = load_model(path)
+        assert loaded.buf.dtype == np.float32
+        if dtype == np.float32:  # the file is the trained model, bit for bit
+            assert np.array_equal(loaded.buf.view(np.uint32),
+                                  trained.buf.view(np.uint32))
+
+    def test_saturated_backward_computes_no_subnormals(self):
+        # softmax flushes probabilities below 1e-12 to 0; their deltas would
+        # be float32 subnormals, whose arithmetic is many times slower
+        m = init_model(4, 16, 5, seed=0)
+        m.weights[2][:] *= 100  # logit gaps in the hundreds
+        X = np.random.default_rng(1).random((64, 4))
+        T = to_one_hot(np.random.default_rng(2).integers(0, 5, 64), 5)
+        work = Workspace(m, 64)
+        grad, probs = backward(m, X, T, TrainConfig(dropout_rate=0.0),
+                               work=work)
+        tiny = np.finfo(np.float32).tiny
+        for a in (probs, grad, *work.errors[:2]):
+            assert not ((a != 0) & (np.abs(a) < tiny)).any()
+        assert (probs == 0).any()
+        assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.int64, np.complex128])
+    def test_other_dtypes_rejected(self, dtype):
+        with pytest.raises(ValueError):
+            ModelParams([(2, 3)], [1], np.zeros(9, dtype))
 
 
 class TestTrainLocal:
