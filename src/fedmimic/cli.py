@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from .data import (Dataset, ParseError, PreprocessPipeline, PublicSet,
                    select_columns, shard_clients, split_indices,
                    split_private_public)
 from .features import select_union
-from .fedsim import ClientShard, derive_seed, run_fl
+from .fedsim import ClientShard, derive_seed, openblas_threads, run_fl
 from .metrics import confusion, per_class_metrics
 from .mimic import STUDENT_INIT_POLICIES, MimicClient, run_fsml, run_ftml
 from .modelio import ModelFormatError, load_model, save_model
@@ -39,6 +40,15 @@ EXIT_FORMAT = 5
 DATA_ROOT_ENV = "FEDMIMIC_DATA_ROOT"
 
 MODES = ("prep", "select", "central", "fl", "ftml", "fsml", "eval")
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
 
 # defaults follow the simulation parameter table
 DEFAULTS = {
@@ -63,7 +73,7 @@ DEFAULTS = {
     "rfe_step": 5,
     "private_fraction": 0.6,
     "student_init": "warm",
-    "threads": 1,
+    "threads": usable_cpus(),  # fedsim.run_rounds caps it at the clients
     "hidden": 256,
     "test_fraction": 0.1,
     "official_split": False,
@@ -86,6 +96,8 @@ FLAG_HELP = {
     "per_user_public": "give each mimic client its own public shard",
     "mimic_full_data": "mimic pool = whole training set instead of "
                        "clients x samples-per-client",
+    "threads": "client training worker processes (default: the usable "
+               "CPUs; never more than the clients)",
 }
 
 
@@ -181,10 +193,63 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def write_runmeta(out_dir: Path, cfg: dict, artifacts: list[Path]):
+def blas_build() -> dict:
+    """Name and version of the BLAS numpy was built with."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy < 1.25: no mode="dicts", no version
+        libs = getattr(np.__config__, "blas_opt_info", {}).get("libraries")
+        return {"name": libs[0] if libs else None, "version": None}
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
+def peak_rss_mb() -> float | None:
+    """This process's own peak resident set (VmHWM), None without /proc.
+    getrusage is no substitute: its ru_maxrss carries over a spawning
+    parent's peak across exec."""
+    try:
+        with open("/proc/self/status") as f:
+            for line in f:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return None
+
+
+def workers_peak_rss_mb() -> float | None:
+    """The largest peak resident set of the client worker processes this
+    process has joined (ru_maxrss of its children), None if it ran none."""
+    try:
+        import resource
+    except ImportError:  # not on this platform
+        return None
+    kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    return kb / 1024.0 if kb else None
+
+
+def environment(cfg: dict, wall_s: float) -> dict:
+    """What a stage ran on and what it cost; not byte-stable across runs."""
+    return {
+        "numpy": np.__version__,
+        "blas": blas_build(),
+        "usable_cpus": usable_cpus(),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+        "threads": cfg["threads"],
+        "blas_pinnable": openblas_threads() is not None,
+        "wall_s": round(wall_s, 3),
+        "peak_rss_mb": peak_rss_mb(),
+        "workers_peak_rss_mb": workers_peak_rss_mb(),
+    }
+
+
+def write_runmeta(out_dir: Path, cfg: dict, artifacts: list[Path],
+                  wall_s: float):
     meta = {
         "config": {k: v for k, v in sorted(cfg.items())},
         "artifacts": {p.name: _sha256(p) for p in artifacts if p.exists()},
+        "environment": environment(cfg, wall_s),
     }
     (out_dir / "runmeta.json").write_text(json.dumps(meta, indent=1,
                                                      sort_keys=True))
@@ -226,7 +291,7 @@ def read_split(cfg: dict, train_path: Path, test_path: Path | None):
     return corpus.take(tr), y[tr], corpus.take(te), y[te]
 
 
-def cmd_prep(cfg: dict) -> int:
+def cmd_prep(cfg: dict) -> list[Path]:
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     train_path = _resolve_dataset_path(cfg, "train_file", "KDDTrain+.txt")
@@ -276,11 +341,9 @@ def cmd_prep(cfg: dict) -> int:
           f"{pipeline.expanded_dim} expanded features")
     for name, count in class_counts(train_y).items():
         print(f"  train {name}: {count}")
-    write_runmeta(out_dir, cfg, [out_dir / n for n in
-                                 ("pipeline.json", "manifest.json",
+    return [out_dir / n for n in ("pipeline.json", "manifest.json",
                                   "train_X.npy", "train_y.npy",
-                                  "test_X.npy", "test_y.npy")])
-    return EXIT_OK
+                                  "test_X.npy", "test_y.npy")]
 
 
 def load_prep(out_dir: Path, selected: bool = True):
@@ -308,7 +371,7 @@ def load_prep(out_dir: Path, selected: bool = True):
             Dataset(test.X.astype(np.float32), test.y))
 
 
-def cmd_select(cfg: dict) -> int:
+def cmd_select(cfg: dict) -> list[Path]:
     out_dir = Path(cfg["out_dir"])
     pipeline, train, _ = load_prep(out_dir, selected=False)
     ranking = select_union(train.X, train.y, k=cfg["k_features"],
@@ -318,8 +381,7 @@ def cmd_select(cfg: dict) -> int:
     (out_dir / "pipeline.json").write_text(pipeline.to_json())
     print(f"select: union mask has {len(ranking.union_mask)} of "
           f"{pipeline.expanded_dim} features")
-    write_runmeta(out_dir, cfg, [out_dir / "pipeline.json"])
-    return EXIT_OK
+    return [out_dir / "pipeline.json"]
 
 
 def build_mimic_clients(train: Dataset, cfg: dict) -> list[MimicClient]:
@@ -355,7 +417,7 @@ def build_mimic_clients(train: Dataset, cfg: dict) -> list[MimicClient]:
     return clients
 
 
-def cmd_train(cfg: dict) -> int:
+def cmd_train(cfg: dict) -> list[Path]:
     out_dir = Path(cfg["out_dir"])
     _, train, test = load_prep(out_dir)
     tc = train_config(cfg)
@@ -390,11 +452,9 @@ def cmd_train(cfg: dict) -> int:
     print(f"{mode}: overall test accuracy {report.overall_accuracy:.2f}%")
     if teacher_fits:
         print(f"  one-time teacher fits: {teacher_fits}")
-    write_runmeta(out_dir, cfg, [out_dir / n for n in
-                                 ("model.fmim", "history.csv", "report.txt",
+    return [out_dir / n for n in ("model.fmim", "history.csv", "report.txt",
                                   "report.csv", "report.json",
-                                  "pipeline.json")])
-    return EXIT_OK
+                                  "pipeline.json")]
 
 
 def accuracy_series(hist_path: Path) -> str:
@@ -415,7 +475,7 @@ def accuracy_series(hist_path: Path) -> str:
     return "\n".join(series) + "\n"
 
 
-def cmd_eval(cfg: dict) -> int:
+def cmd_eval(cfg: dict) -> list[Path]:
     out_dir = Path(cfg["out_dir"])
     model_path = Path(cfg["model_file"] or out_dir / "model.fmim")
     if not model_path.exists():
@@ -438,16 +498,21 @@ def cmd_eval(cfg: dict) -> int:
         (out_dir / "accuracy_series.csv").write_text(series)
         artifacts.append(out_dir / "accuracy_series.csv")
     print(f"eval: overall test accuracy {report.overall_accuracy:.2f}%")
-    write_runmeta(out_dir, cfg, artifacts)
-    return EXIT_OK
+    return artifacts
 
 
 def main(argv=None) -> int:
+    """Runs one stage; on success runmeta.json records its config, the
+    digests of the artifacts it wrote and its environment."""
+    start = time.perf_counter()
     args = build_parser().parse_args(argv)
     commands = {"prep": cmd_prep, "select": cmd_select, "eval": cmd_eval}
     try:
         cfg = resolve_config(args)
-        return commands.get(cfg["mode"], cmd_train)(cfg)
+        artifacts = commands.get(cfg["mode"], cmd_train)(cfg)
+        write_runmeta(Path(cfg["out_dir"]), cfg, artifacts,
+                      time.perf_counter() - start)
+        return EXIT_OK
     except (MissingInput, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MISSING_INPUT

@@ -1,11 +1,16 @@
 """Simulated federated learning: client shards, federated averaging, the
 round loop every regime shares, and plain FL. No transport, no stragglers;
-clients may train in parallel threads but results are scheduling-invariant
-(per-client seeds, id-ordered averaging)."""
+clients may train in parallel worker processes but results are
+scheduling-invariant (per-client seeds, id-ordered averaging)."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import ctypes
+import functools
+import signal
+import sys
+import traceback
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -102,11 +107,159 @@ def test_accuracy(model: ModelParams, test: Dataset) -> float:
     return overall_accuracy(cm)
 
 
-def _map_clients(fn, items, threads):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+@functools.cache
+def openblas_threads():
+    """``(get, set)`` for the thread count of the OpenBLAS build numpy loaded
+    (``libscipy_openblas64_*``, found in /proc/self/maps), or None where there
+    is no such library, symbol or /proc."""
+    try:
+        with open("/proc/self/maps") as f:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in f
+                            if "libscipy_openblas64_" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@functools.cache  # so that it prints once per process
+def _warn_blas_unpinned():
+    print("warning: no OpenBLAS thread control found; client workers run "
+          "with BLAS's own thread count", file=sys.stderr)
+
+
+@functools.cache
+def _warn_no_fork():
+    print("warning: no fork start method on this platform; clients train "
+          "one after another", file=sys.stderr)
+
+
+@dataclass
+class _Failure:
+    """A step's exception in a worker, with the worker's traceback."""
+    exc: BaseException
+    tb: str
+
+
+class _RemoteTraceback(Exception):
+    """The cause of a re-raised worker exception: the worker's traceback."""
+
+    def __str__(self):
+        return self.args[0]
+
+
+def _serve(conn, step, clients):
+    """A worker's loop: for each ``(i, global_model, rnd, prev)`` received,
+    ``step(global_model, clients[i], rnd, prev)`` sent back, or its failure.
+    Stops on None, or when the main process is gone."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the main process handles ^C
+    controls = openblas_threads()
+    if controls is not None:
+        controls[1](1)
+    while True:
+        try:
+            msg = conn.recv()
+        except EOFError:
+            return
+        if msg is None:
+            return
+        i, global_model, rnd, prev = msg
+        try:
+            reply = step(global_model, clients[i], rnd, prev)
+        except Exception as e:
+            reply = _Failure(e, traceback.format_exc())
+        conn.send(reply)
+
+
+class _ClientWorkers:
+    """``n`` worker processes forked for one ``run_rounds`` call. Each round,
+    a worker that finishes a client takes the next one in client order, so
+    a worker on a busier CPU takes fewer. Each worker holds BLAS at one
+    thread; this process leaves its own count alone."""
+
+    def __init__(self, step, clients: list, n: int):
+        # imported here, so that a stage that never forks does not load it
+        import multiprocessing.connection
+        self.wait = multiprocessing.connection.wait
+        ctx = multiprocessing.get_context("fork")
+        self.size = len(clients)
+        self.conns, self.procs = [], []
+        try:
+            for _ in range(n):
+                here, there = ctx.Pipe()
+                proc = ctx.Process(target=_serve, daemon=True,
+                                   args=(there, step, clients))
+                proc.start()
+                there.close()
+                self.conns.append(here)
+                self.procs.append(proc)
+        except BaseException:
+            self.close(stop=False)
+            raise
+
+    def map(self, global_model: ModelParams, rnd: int, prevs: list) -> list:
+        """Every client's step result, in client order. A failure raises
+        the exception of the first failing client in that order, as the
+        serial loop would: clients start in order, so every client before
+        a failing one has run."""
+        results, failures = [None] * self.size, {}
+        todo = iter(range(self.size))
+        running = {}  # connection -> client position
+
+        def hand_out(conn):
+            i = next(todo, None)
+            if i is not None and not failures:
+                conn.send((i, global_model, rnd, prevs[i]))
+                running[conn] = i
+
+        for conn in self.conns:
+            hand_out(conn)
+        while running:
+            for conn in self.wait(list(running)):
+                i = running.pop(conn)
+                try:
+                    reply = conn.recv()
+                except EOFError:
+                    proc = self.procs[self.conns.index(conn)]
+                    proc.join()
+                    raise RuntimeError(f"a client worker process exited "
+                                       f"(code {proc.exitcode})") from None
+                if isinstance(reply, _Failure):
+                    failures[i] = reply
+                else:
+                    results[i] = reply
+                hand_out(conn)
+        if failures:
+            first = failures[min(failures)]
+            raise first.exc from _RemoteTraceback(first.tb)
+        return results
+
+    def close(self, stop: bool = True):
+        """Ends the workers: each leaves its loop on ``stop``, else (the main
+        process is unwinding from an error) it is terminated."""
+        for conn, proc in zip(self.conns, self.procs):
+            if stop:
+                conn.send(None)
+            else:
+                proc.terminate()
+            conn.close()
+        for proc in self.procs:
+            proc.join()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self.close(stop=exc_type is None)
 
 
 def sort_clients(clients: list) -> list:
@@ -124,25 +277,48 @@ def run_rounds(clients: list, step, test: Dataset, rounds: int,
                weights: list[float] | None = None,
                fits_per_client: int = 1) -> tuple[ModelParams, RoundHistory]:
     """The round loop of every regime. Each round runs ``step(global_model,
-    client, rnd) -> (local_model, losses, pseudo_labels | None)`` for the
-    clients (``sort_clients`` order; ``weights`` follow it), averages the
-    local models and records one RoundRecord."""
+    client, rnd, prev) -> (local_model, losses, pseudo_labels | None)`` for
+    the clients (``sort_clients`` order; ``weights`` follow it), averages
+    the local models and records one RoundRecord. ``prev`` is what the
+    client's step returned the round before (None in round 0), so a step
+    keeps no state of its own.
+
+    With ``threads`` > 1 the steps run in ``min(threads, len(clients))``
+    worker processes forked once for all rounds (see ``_ClientWorkers``):
+    processes, not threads, because client threads would hand numpy's GIL
+    back and forth thousands of times a fit."""
     global_model = init
     history = RoundHistory()
-    for rnd in range(rounds):
-        results = _map_clients(lambda c: step(global_model, c, rnd), clients,
-                               threads)
-        locals_, losses, pseudo = zip(*results)
-        global_model = fedavg(list(locals_), weights)
-        history.rounds.append(RoundRecord(
-            round=rnd,
-            test_accuracy=test_accuracy(global_model, test),
-            client_losses={c.client_id: (ls[-1] if ls else float("nan"))
-                           for c, ls in zip(clients, losses)},
-            local_fits=fits_per_client * len(clients),
-            pseudo_agreement=(None if pseudo[0] is None
-                              else pseudo_label_agreement(list(pseudo))),
-        ))
+    workers = min(threads, len(clients))
+    if workers > 1:
+        import multiprocessing
+        if "fork" not in multiprocessing.get_all_start_methods():
+            _warn_no_fork()
+            workers = 1
+    if workers > 1 and openblas_threads() is None:
+        _warn_blas_unpinned()
+    with ExitStack() as stack:
+        if workers > 1:
+            pool = stack.enter_context(_ClientWorkers(step, clients, workers))
+            map_clients = pool.map
+        else:
+            def map_clients(model, rnd, prevs):
+                return [step(model, c, rnd, prev)
+                        for c, prev in zip(clients, prevs)]
+        results = [None] * len(clients)
+        for rnd in range(rounds):
+            results = map_clients(global_model, rnd, results)
+            locals_, losses, pseudo = zip(*results)
+            global_model = fedavg(list(locals_), weights)
+            history.rounds.append(RoundRecord(
+                round=rnd,
+                test_accuracy=test_accuracy(global_model, test),
+                client_losses={c.client_id: (ls[-1] if ls else float("nan"))
+                               for c, ls in zip(clients, losses)},
+                local_fits=fits_per_client * len(clients),
+                pseudo_agreement=(None if pseudo[0] is None
+                                  else pseudo_label_agreement(list(pseudo))),
+            ))
     return global_model, history
 
 
@@ -156,7 +332,7 @@ def run_fl(shards: list[ClientShard], test: Dataset, rounds: int = 20,
     shards = sort_clients(shards)
     config = config or TrainConfig()
 
-    def fit(global_model, shard, rnd):
+    def fit(global_model, shard, rnd, prev):
         cfg = replace(config, seed=derive_seed(seed, TAG_CLIENT,
                                                shard.client_id, rnd))
         model, losses = train_local(global_model, shard.data.X, shard.data.y,

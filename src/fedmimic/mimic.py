@@ -54,13 +54,12 @@ def run_ftml(clients: list[MimicClient], test: Dataset, rounds: int = 20,
     clients = sort_clients(clients)
     config = config or TrainConfig()
     input_dim = clients[0].private.X.shape[1]
-    students = {}  # client id -> last round's student, for "warm"
 
-    def step(global_model, client, rnd):
+    def step(global_model, client, rnd, prev):
         cid = client.client_id
         pseudo = _teach(config, seed, global_model, client, rnd)
-        if student_init == "warm":
-            s0 = students.get(cid, global_model)
+        if student_init == "warm":  # last round's student
+            s0 = global_model if prev is None else prev[0]
         elif student_init == "global":
             s0 = global_model
         else:
@@ -68,7 +67,6 @@ def run_ftml(clients: list[MimicClient], test: Dataset, rounds: int = 20,
                             seed=derive_seed(seed, TAG_STUDENT_INIT, cid, rnd))
         s_cfg = replace(config, seed=derive_seed(seed, TAG_CLIENT, cid, rnd))
         student, losses = train_local(s0, client.public.X, pseudo, s_cfg)
-        students[cid] = student
         return student, losses, pseudo
 
     init = init_model(input_dim, hidden, 5, seed=derive_seed(seed, TAG_INIT))
@@ -86,18 +84,18 @@ def run_fsml(clients: list[MimicClient], test: Dataset, rounds: int = 20,
     one-time teacher fits (returned last)."""
     clients = sort_clients(clients)
     config = config or TrainConfig()
-    pseudo = {}  # client id -> frozen pseudo-labels
 
-    def step(global_model, client, rnd):
-        cid = client.client_id
-        if cid not in pseudo:
-            pseudo[cid] = _teach(config, seed, global_model, client, 0)
-        cfg = replace(config, seed=derive_seed(seed, TAG_CLIENT, cid, rnd))
-        student, losses = train_local(global_model, client.public.X,
-                                      pseudo[cid], cfg)
-        return student, losses, pseudo[cid]
+    def step(global_model, client, rnd, prev):
+        # the teacher's labels of round 0, frozen
+        pseudo = (_teach(config, seed, global_model, client, 0) if prev is None
+                  else prev[2])
+        cfg = replace(config, seed=derive_seed(seed, TAG_CLIENT,
+                                               client.client_id, rnd))
+        student, losses = train_local(global_model, client.public.X, pseudo,
+                                      cfg)
+        return student, losses, pseudo
 
     init = init_model(clients[0].private.X.shape[1], hidden, 5,
                       seed=derive_seed(seed, TAG_INIT))
     model, history = run_rounds(clients, step, test, rounds, init, threads)
-    return model, history, len(pseudo)
+    return model, history, len(clients) if rounds > 0 else 0

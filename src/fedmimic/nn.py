@@ -45,6 +45,9 @@ class ModelParams:
             self.biases.append(buf[off:off + o])
             off += o
 
+    def __reduce__(self):  # pickle the vector once; the views follow it
+        return ModelParams, (self.dims, self.activations, self.buf)
+
     def like(self, buf: np.ndarray) -> "ModelParams":
         """The same layer layout over another flat vector (e.g. a gradient)."""
         return ModelParams(self.dims, self.activations, buf)
@@ -303,6 +306,14 @@ def adam_step(model: ModelParams, grad: np.ndarray, state: AdamState,
     tmp += eps
     step /= tmp
     p -= step
+    if state.t % 1024 == 0:
+        # a dead unit's moments only decay (v by beta2 a step) and would
+        # reach the subnormal range, where every pass over them is many
+        # times slower. At beta2 = 0.99 a float32 v at or above 1e-30 needs
+        # about 1,800 steps to fall below FLT_MIN, so flushing what is below
+        # 1e-30 every 1,024 steps keeps v out of it
+        for moment in (m, v):
+            moment[np.abs(moment) < 1e-30] = 0.0
     model.check_finite()
 
 

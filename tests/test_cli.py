@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmimic.cli import (MINIMUM, build_parser, load_prep, main,
-                          resolve_config, train_config)
-from fedmimic.fedsim import ClientShard, run_fl
+from fedmimic.cli import (MINIMUM, blas_build, build_parser, load_prep, main,
+                          resolve_config, train_config, usable_cpus)
+from fedmimic.fedsim import ClientShard, openblas_threads, run_fl
 from fedmimic.modelio import save_model
 
 from conftest import make_kdd_lines
@@ -231,6 +231,21 @@ class TestTrainModes:
         for name in ("report.txt", "history.csv", "model.fmim"):
             assert (workdir / name).read_bytes() == (other / name).read_bytes()
 
+    @pytest.mark.parametrize("mode", ["fl", "ftml"])
+    def test_default_threads_write_the_digests_of_one_thread(self, mode,
+                                                             workdir,
+                                                             tmp_path):
+        other = tmp_path / "one"
+        shutil.copytree(workdir, other)
+        assert main(["--mode", mode, "--out-dir", str(workdir)]
+                    + TRAIN_FLAGS) == 0
+        assert main(["--mode", mode, "--out-dir", str(other),
+                     "--threads", "1"] + TRAIN_FLAGS) == 0
+        metas = [json.loads((d / "runmeta.json").read_text())
+                 for d in (workdir, other)]
+        assert metas[0]["config"]["threads"] == usable_cpus()
+        assert metas[0]["artifacts"] == metas[1]["artifacts"]
+
     def test_central_history_is_one_round_of_one_client(self, workdir):
         assert main(["--mode", "central", "--out-dir", str(workdir)]
                     + TRAIN_FLAGS) == 0
@@ -258,6 +273,37 @@ class TestTrainModes:
         assert meta["config"]["mode"] == "central"
         assert meta["config"]["epochs"] == 2
         assert len(meta["artifacts"]["model.fmim"]) == 64
+
+    def test_runmeta_records_the_environment(self, workdir):
+        assert main(["--mode", "fl", "--out-dir", str(workdir), "--threads",
+                     "2"] + TRAIN_FLAGS) == 0
+        env = json.loads((workdir / "runmeta.json").read_text())["environment"]
+        assert env["numpy"] == np.__version__
+        assert set(env["blas"]) == {"name", "version"}
+        assert env["usable_cpus"] == usable_cpus() >= 1
+        assert env["OPENBLAS_NUM_THREADS"] == os.environ.get(
+            "OPENBLAS_NUM_THREADS")
+        assert env["OMP_NUM_THREADS"] == os.environ.get("OMP_NUM_THREADS")
+        assert env["threads"] == 2
+        assert env["blas_pinnable"] == (openblas_threads() is not None)
+        assert env["wall_s"] > 0
+        if Path("/proc/self/status").exists():
+            assert 1 < env["peak_rss_mb"] < 4096
+        else:
+            assert env["peak_rss_mb"] is None
+        assert 1 < env["workers_peak_rss_mb"] < 4096  # 2 workers joined
+
+    def test_blas_build_without_show_config_dicts(self, monkeypatch):
+        def old_show_config():  # numpy < 1.25 takes no mode
+            raise AssertionError("printed instead of returning")
+        monkeypatch.setattr(np, "show_config", old_show_config)
+        assert set(blas_build()) == {"name", "version"}
+
+    def test_threads_default_is_the_usable_cpus(self):
+        cfg = resolve_config(build_parser().parse_args(["--mode", "fl"]))
+        want = (len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else os.cpu_count())
+        assert cfg["threads"] == usable_cpus() == want
 
 
 class TestConfigFile:

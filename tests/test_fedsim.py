@@ -1,11 +1,17 @@
+import multiprocessing
+import os
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedmimic import fedsim
 from fedmimic.data import Dataset
 from fedmimic.fedsim import (TAG_CLIENT, TAG_INIT, ClientShard, RoundHistory,
-                             RoundRecord, derive_seed, fedavg, run_fl)
+                             RoundRecord, derive_seed, fedavg, openblas_threads,
+                             run_fl, run_rounds)
 from fedmimic.nn import ModelParams, TrainConfig, init_model, train_local
 
 from conftest import toy_separable
@@ -162,6 +168,125 @@ class TestRunFl:
                                                dropout_rate=0.0),
                             seed=0, hidden=12)
         assert history.rounds[-1].test_accuracy > 90.0
+
+
+class TestClientPool:
+    """run_rounds' client workers: BLAS at one thread inside them, the
+    caller's count untouched, one warning where BLAS cannot be pinned, a
+    failing client raising as it would in the serial loop, and no worker
+    left behind."""
+
+    @pytest.fixture
+    def blas(self):
+        if openblas_threads() is None:
+            pytest.skip("no OpenBLAS thread control in this numpy")
+        get, set_ = openblas_threads()
+        old = get()
+        set_(2)  # a count the workers must not inherit or change
+        yield get
+        set_(old)
+
+    @staticmethod
+    def rounds(step, threads, rounds=2, clients=3):
+        return run_rounds(make_shards(num_clients=clients), step,
+                          Dataset(*toy_separable(30, seed=9)), rounds,
+                          init_model(4, 6, 5, seed=0), threads)
+
+    def test_blas_at_one_thread_inside_and_restored_after(self, blas):
+        def step(global_model, client, rnd, prev):
+            # a worker's side effects stay in it, so report through losses
+            return global_model.copy(), [float(blas())], None
+
+        _, history = self.rounds(step, threads=2)
+        assert [r.client_losses for r in history.rounds] == [
+            {0: 1.0, 1: 1.0, 2: 1.0}] * 2
+        assert blas() == 2
+        _, history = self.rounds(step, threads=1)  # no workers: BLAS alone
+        assert [r.client_losses for r in history.rounds] == [
+            {0: 2.0, 1: 2.0, 2: 2.0}] * 2
+
+    def test_blas_restored_after_a_step_raises(self, blas):
+        def step(global_model, client, rnd, prev):
+            assert blas() == 1
+            if client.client_id == 1:
+                raise RuntimeError("client failed")
+            return global_model.copy(), [0.0], None
+
+        with pytest.raises(RuntimeError, match="client failed") as info:
+            self.rounds(step, threads=3)
+        assert "client failed" in str(info.value.__cause__)  # its traceback
+        assert blas() == 2
+        assert multiprocessing.active_children() == []
+
+    def test_one_warning_without_blas_control(self, monkeypatch, capsys):
+        fedsim._warn_blas_unpinned.cache_clear()
+        monkeypatch.setattr(fedsim, "openblas_threads", lambda: None)
+        shards = make_shards()
+        test = Dataset(*toy_separable(30, seed=9))
+        try:
+            runs = [run_fl(shards, test, rounds=2, config=FAST, seed=2,
+                           hidden=6, threads=2) for _ in range(2)]
+        finally:
+            fedsim._warn_blas_unpinned.cache_clear()
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 1 and "OpenBLAS" in err
+        (m1, h1), (m2, h2) = runs
+        assert models_equal(m1, m2) and h1.to_csv() == h2.to_csv()
+
+    def test_without_fork_one_warning_and_serial(self, monkeypatch, capsys):
+        fedsim._warn_no_fork.cache_clear()
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        pids = []
+
+        def step(global_model, client, rnd, prev):
+            pids.append(os.getpid())
+            return global_model.copy(), [0.0], None
+
+        try:
+            for _ in range(2):
+                self.rounds(step, threads=2)
+        finally:
+            fedsim._warn_no_fork.cache_clear()
+        assert pids == [os.getpid()] * 12
+        assert capsys.readouterr().err.count("warning: no fork") == 1
+
+    def test_first_failing_client_in_order_raises(self):
+        def step(global_model, client, rnd, prev):
+            if rnd == 1 and client.client_id >= 3:
+                if client.client_id == 3:  # so that client 4 fails first
+                    time.sleep(0.3)
+                raise ValueError(f"client {client.client_id}")
+            return global_model.copy(), [0.0], None
+
+        for threads in (1, 2, 4):
+            with pytest.raises(ValueError, match="client 3"):
+                self.rounds(step, threads, clients=5)
+        assert multiprocessing.active_children() == []
+
+    def test_prev_is_the_clients_last_result(self):
+        def step(global_model, client, rnd, prev):
+            assert (prev is None) == (rnd == 0)
+            n = client.client_id if prev is None else prev[1][0] + 100.0
+            return global_model.copy(), [float(n)], None
+
+        for threads in (1, 2):
+            _, history = self.rounds(step, threads, rounds=3, clients=5)
+            assert [r.client_losses for r in history.rounds] == [
+                {c: c + 100.0 * rnd for c in range(5)} for rnd in range(3)]
+
+    def test_a_worker_that_dies_raises(self):
+        def step(global_model, client, rnd, prev):
+            if client.client_id == 1:
+                os._exit(3)
+            time.sleep(30)  # the other worker is stopped, not waited for
+            return global_model.copy(), [0.0], None
+
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match=r"exited \(code 3\)"):
+            self.rounds(step, threads=2)
+        assert time.monotonic() - start < 15
+        assert multiprocessing.active_children() == []
 
 
 def test_history_csv_round_trip_fields():

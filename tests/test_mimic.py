@@ -113,6 +113,7 @@ class TestFtml:
             outs[policy], _ = run_ftml(clients, test, rounds=2, config=FAST,
                                        seed=7, hidden=6, student_init=policy)
         assert not models_equal(outs["warm"], outs["fresh"])
+        assert not models_equal(outs["warm"], outs["global"])
 
     def test_bad_policy_rejected(self):
         with pytest.raises(ValueError):
@@ -131,14 +132,21 @@ class TestFtml:
 
 
 class TestFsml:
-    def test_one_fit_per_client_per_round_plus_teachers(self):
+    def test_one_fit_per_client_per_round_plus_teachers(self, monkeypatch):
+        taught, teach = [], mimic._teach
+        monkeypatch.setattr(mimic, "_teach", lambda *a: taught.append(
+            a[3].client_id) or teach(*a))
         clients = make_clients(num_clients=3)
         test = Dataset(*toy_separable(20, seed=9))
-        _, history, teacher_fits = run_fsml(clients, test, rounds=4,
-                                            config=FAST, seed=1, hidden=6)
-        assert teacher_fits == 3
+        model, history, teacher_fits = run_fsml(clients, test, rounds=4,
+                                                config=FAST, seed=1, hidden=6)
+        assert teacher_fits == 3 and taught == [0, 1, 2]
         assert all(r.local_fits == 3 for r in history.rounds)
         assert history.total_local_fits == 3 * 4
+        m3, h3, t3 = run_fsml(clients, test, rounds=4, config=FAST, seed=1,
+                              hidden=6, threads=3)
+        assert models_equal(model, m3) and h3.to_csv() == history.to_csv()
+        assert t3 == 3
 
     def test_zero_rounds_fit_no_teachers(self):
         clients = make_clients(num_clients=3)

@@ -21,6 +21,7 @@ def test_round_trip_is_byte_exact(tmp_path):
 
 def test_loaded_model_predicts_like_saved(tmp_path):
     m = init_model(6, 8, 5, seed=1)
+    m = m.like(m.buf.astype(np.float64))  # so saving rounds to float32
     path = tmp_path / "m.fmim"
     save_model(m, path)
     loaded, _ = load_model(path)
@@ -33,6 +34,7 @@ def test_loaded_model_predicts_like_saved(tmp_path):
 
 def test_round_trip_is_float32_rounding(tmp_path):
     m = init_model(7, 6, 5, seed=4)
+    m = m.like(m.buf.astype(np.float64))  # so saving rounds to float32
     m.buf[:] = np.random.default_rng(1).standard_normal(m.buf.size)
     path = tmp_path / "m.fmim"
     save_model(m, path)

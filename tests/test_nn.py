@@ -209,6 +209,25 @@ class TestAdamStep:
         adam_step(m2, g, AdamState.zeros_like(m), cfg)
         assert models_equal(m1, m2)
 
+    def test_dead_units_leave_no_subnormal_moments(self):
+        # a dead ReLU unit's gradients stay exactly 0, so its moments only
+        # decay; without a flush this v is subnormal by step 2,048
+        m = init_model(4, 8, 5, seed=0)
+        state = AdamState.zeros_like(m)
+        rng = np.random.default_rng(0)
+        dead = rng.random(m.buf.size) < 0.5
+        for t in range(2048):
+            scale = 1e-15 if t < 50 else 1e-3
+            g = (rng.standard_normal(m.buf.size) * scale).astype(np.float32)
+            if t >= 50:
+                g[dead] = 0.0
+            adam_step(m, g, state, TrainConfig())
+        tiny = np.finfo(np.float32).tiny
+        for moment in (state.m, state.v):
+            assert moment.dtype == np.float32
+            assert not ((moment != 0) & (np.abs(moment) < tiny)).any()
+        assert (state.v[~dead] > 0).all()
+
     def test_shape_mismatch(self):
         m = self._scalar_model()
         g = np.zeros(5)  # a (2, 2) weight plus one bias; the model has 1 + 1
