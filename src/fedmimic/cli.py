@@ -109,6 +109,17 @@ class MissingPrep(Exception):
     pass
 
 
+def input_file(path, what: str) -> Path:
+    """``path`` as a Path, raising MissingInput (exit 2) naming it when it
+    does not exist or is a directory."""
+    path = Path(path)
+    if not path.exists():
+        raise MissingInput(f"{what} not found: {path}")
+    if path.is_dir():
+        raise MissingInput(f"{what} is a directory: {path}")
+    return path
+
+
 def build_parser() -> argparse.ArgumentParser:
     """``--mode`` plus one flag per DEFAULTS key, typed like its default."""
     p = argparse.ArgumentParser(
@@ -130,9 +141,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     """flag > config file > default, per key."""
     cfg = dict(DEFAULTS)
     if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise MissingInput(f"config file not found: {path}")
+        path = input_file(args.config, "config file")
         file_cfg = json.loads(path.read_text())
         if not isinstance(file_cfg, dict):
             raise ValueError(f"config file {path} must hold a JSON object")
@@ -278,7 +287,9 @@ def read_labelled(path: Path, mapping: dict) -> tuple[Records, np.ndarray]:
 def read_split(cfg: dict, train_path: Path, test_path: Path | None):
     """(train, train_y, test, test_y): the given files as they are with
     --official-split, else a seeded re-split of all their rows."""
-    mapping = load_attack_mapping(cfg["attack_map"])
+    mapping = load_attack_mapping(
+        input_file(cfg["attack_map"], "attack map") if cfg["attack_map"]
+        else None)
     files = [read_labelled(p, mapping) for p in (train_path, test_path) if p]
     if cfg["official_split"]:
         if len(files) < 2 or not len(files[1][0]):
@@ -293,16 +304,18 @@ def read_split(cfg: dict, train_path: Path, test_path: Path | None):
 
 def cmd_prep(cfg: dict) -> list[Path]:
     out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ValueError(f"--out-dir {out_dir} is not a directory") from None
     train_path = _resolve_dataset_path(cfg, "train_file", "KDDTrain+.txt")
     if train_path is None:
         raise MissingInput(f"no training file: pass --train-file or set "
                            f"${DATA_ROOT_ENV}")
-    if not train_path.exists():
-        raise MissingInput(f"training file not found: {train_path}")
+    train_path = input_file(train_path, "training file")
     test_path = _resolve_dataset_path(cfg, "test_file", "KDDTest+.txt")
-    if test_path is not None and not test_path.exists():
-        raise MissingInput(f"test file not found: {test_path}")
+    if test_path is not None:
+        test_path = input_file(test_path, "test file")
 
     train, train_y, test, test_y = read_split(cfg, train_path, test_path)
     pipeline = fit_pipeline(train)
@@ -477,17 +490,17 @@ def accuracy_series(hist_path: Path) -> str:
 
 def cmd_eval(cfg: dict) -> list[Path]:
     out_dir = Path(cfg["out_dir"])
-    model_path = Path(cfg["model_file"] or out_dir / "model.fmim")
-    if not model_path.exists():
-        raise MissingInput(f"model file not found: {model_path}")
+    model_path = input_file(cfg["model_file"] or out_dir / "model.fmim",
+                            "model file")
+    hist_path = (input_file(cfg["history_file"], "history file")
+                 if cfg["history_file"] else None)
     model, _ = load_model(model_path)
     _, _, test = load_prep(out_dir)
     if model.input_dim != test.X.shape[1]:
         raise ModelFormatError(f"model expects {model.input_dim} features, "
                                f"test matrix has {test.X.shape[1]}")
     # read the history before writing anything, so a bad one writes nothing
-    series = (accuracy_series(Path(cfg["history_file"]))
-              if cfg["history_file"] else None)
+    series = accuracy_series(hist_path) if hist_path else None
     report = per_class_metrics(confusion(predict(model, test.X), test.y))
     (out_dir / "eval_report.txt").write_text(report.to_text())
     (out_dir / "eval_report.csv").write_text(report.to_csv())

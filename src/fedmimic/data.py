@@ -300,12 +300,6 @@ def split_indices(n: int, test_fraction: float = 0.10,
     return order[n_test:], order[:n_test]
 
 
-def split_train_test(X: np.ndarray, y: np.ndarray, test_fraction: float = 0.10,
-                     seed: int = 0) -> tuple[Dataset, Dataset]:
-    train_idx, test_idx = split_indices(X.shape[0], test_fraction, seed)
-    return Dataset(X[train_idx], y[train_idx]), Dataset(X[test_idx], y[test_idx])
-
-
 def shard_clients(train: Dataset, num_clients: int = 10,
                   samples_per_client: int = 500, seed: int = 0) -> list[Dataset]:
     """Disjoint uniform-random shards of exactly samples_per_client each."""

@@ -1,6 +1,10 @@
 """Feature selection: binary logistic regression trained by full-batch
 gradient descent, recursive feature elimination ranked by |weight|, and the
-per-class top-k union used to mask the expanded feature matrix."""
+per-class top-k union used to mask the expanded feature matrix.
+
+RFE fits in float32: each epoch streams the training matrix through BLAS
+twice, and that is the stage's cost. The prepped matrix itself stays
+float64."""
 
 from __future__ import annotations
 
@@ -28,12 +32,6 @@ class LogRegModel:
     weights: np.ndarray
     bias: float
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return _sigmoid(X @ self.weights.T + self.bias)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.predict_proba(X) >= 0.5).astype(np.int64)
-
 
 @dataclass
 class FeatureRanking:
@@ -50,11 +48,14 @@ def fit_logreg(X: np.ndarray, y: np.ndarray, lr: float = 0.1,
                epochs: int = 200, sample_weights: np.ndarray | None = None,
                mask: np.ndarray | None = None) -> LogRegModel:
     """Full-batch gradient descent on the (optionally weighted) logistic loss.
-    Weights start at zero, so the fit is deterministic.
+    Weights start at zero, so the fit is deterministic. It computes in
+    float32 for a float32 ``X`` and in float64 for any other.
     An (n x c) ``y`` and ``sample_weights`` fit c targets at once into (c x d)
     weights; a 0/1 (c x d) ``mask`` keeps masked weights at exactly 0."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    X = np.asarray(X)
+    dtype = np.float32 if X.dtype == np.float32 else np.float64
+    X = X.astype(dtype, copy=False)
+    y = np.asarray(y, dtype=dtype)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise ValueError(f"X shape {X.shape} does not match {y.shape[0]} labels")
     if X.shape[0] < 1:
@@ -62,21 +63,25 @@ def fit_logreg(X: np.ndarray, y: np.ndarray, lr: float = 0.1,
     n = X.shape[0]
     Y = y.reshape(n, -1).T                   # (c x n), one row per target
     if sample_weights is None:
-        sw = np.full(Y.shape, 1.0 / n)
+        sw = np.full(Y.shape, 1.0 / n, dtype=dtype)
     else:
-        sw = np.asarray(sample_weights, dtype=np.float64).reshape(n, -1).T
+        sw = np.asarray(sample_weights, dtype=dtype).reshape(n, -1).T
         sw = sw / sw.sum(axis=1, keepdims=True)
-    W = np.zeros((Y.shape[0], X.shape[1]))
-    b = np.zeros((Y.shape[0], 1))
-    # per-epoch arrays are reused: a fresh (c x n) array costs page faults
-    err, grad = np.empty(Y.shape), np.empty(W.shape)
+    W = np.zeros((Y.shape[0], X.shape[1]), dtype=dtype)
+    b = np.zeros((Y.shape[0], 1), dtype=dtype)
+    # per-epoch arrays are reused: a fresh (c x n) array costs page faults.
+    # The gradient is X.T @ err.T into a (d x c) buffer: in float32 that
+    # runs about 1.6x faster than err @ X at 122 columns
+    err = np.empty(Y.shape, dtype=dtype)
+    grad_t = np.empty(W.T.shape, dtype=dtype)
+    grad = grad_t.T
     for _ in range(epochs):
         np.matmul(W, X.T, out=err)
         err += b
         _sigmoid(err, out=err)
         err -= Y
         err *= sw                            # (P - Y) * sw
-        np.matmul(err, X, out=grad)
+        np.matmul(X.T, err.T, out=grad_t)
         if mask is not None:
             grad *= mask
         grad *= lr
@@ -111,8 +116,9 @@ def rfe(X: np.ndarray, y: np.ndarray, target_k: int = 20, step: int = 5,
 def _eliminate(X: np.ndarray, targets: np.ndarray, target_k: int, step: int,
                lr: float, epochs: int, balance: bool) -> list[list[int]]:
     """RFE for each row of the (c x n) 0/1 ``targets``, one c-target fit per
-    elimination on the columns any target still keeps."""
-    X = np.asarray(X, dtype=np.float64)
+    elimination on the columns any target still keeps. The fits run in
+    float32; fit_logreg casts the targets and weights to match."""
+    X = np.asarray(X, dtype=np.float32)
     d = X.shape[1]
     if target_k > d:
         raise ValueError(f"target_k={target_k} exceeds {d} features")

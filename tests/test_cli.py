@@ -512,3 +512,43 @@ class TestEval:
         save_model(init_model(3, 4, 5, seed=0), bad)
         assert main(["--mode", "eval", "--out-dir", str(workdir),
                      "--model-file", str(bad)]) == 5
+
+
+class TestPathKinds:
+    @pytest.mark.parametrize("mode,flag,what", [
+        ("fl", "--config", "config file"),
+        ("prep", "--train-file", "training file"),
+        ("prep", "--test-file", "test file"),
+        ("prep", "--attack-map", "attack map"),
+        ("eval", "--model-file", "model file"),
+        ("eval", "--history-file", "history file"),
+    ])
+    def test_directory_input_exit_2(self, workdir, prepped, tmp_path, capsys,
+                                    mode, flag, what):
+        from fedmimic.nn import init_model
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        out = tmp_path / "prep" if mode == "prep" else workdir
+        argv = ["--mode", mode, "--out-dir", str(out), flag, str(folder)]
+        if mode == "prep" and flag != "--train-file":
+            argv += ["--train-file", str(prepped / "train.txt")]
+        if flag == "--history-file":
+            width = load_prep(workdir)[1].X.shape[1]
+            save_model(init_model(width, 3, 5, seed=0), workdir / "model.fmim")
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == f"error: {what} is a directory: {folder}"
+        assert not (workdir / "eval_report.json").exists()
+
+    def test_prep_out_dir_naming_a_file_exit_4(self, prepped, tmp_path,
+                                               capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        capsys.readouterr()
+        assert main(["--mode", "prep", "--train-file",
+                     str(prepped / "train.txt"), "--out-dir",
+                     str(taken)]) == 4
+        err = capsys.readouterr().err.strip()
+        assert err == f"error: --out-dir {taken} is not a directory"
+        assert taken.read_text() == ""

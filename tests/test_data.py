@@ -10,7 +10,7 @@ from fedmimic.data import (FEATURE_NAMES, NOMINAL_FEATURES, AttackClass,
                            UnknownLabelError, apply_pipeline, class_counts,
                            fit_pipeline, load_attack_mapping, map_labels,
                            parse_records, select_columns, shard_clients,
-                           split_private_public, split_train_test)
+                           split_indices, split_private_public)
 from fedmimic.nn import init_model
 
 from conftest import make_kdd_lines
@@ -366,24 +366,19 @@ class TestSelectColumns:
 
 class TestSplits:
     def test_train_test_sizes(self):
-        X = np.arange(100.0).reshape(100, 1)
-        y = np.zeros(100, dtype=int)
-        train, test = split_train_test(X, y, 0.10, seed=4)
+        train, test = split_indices(100, 0.10, seed=4)
         assert len(train) == 90 and len(test) == 10
-        assert sorted(np.concatenate([train.X[:, 0], test.X[:, 0]])) == list(range(100))
+        assert sorted(np.concatenate([train, test])) == list(range(100))
 
     def test_deterministic(self):
-        X = np.arange(50.0).reshape(50, 1)
-        y = np.zeros(50, dtype=int)
-        a = split_train_test(X, y, 0.2, seed=9)
-        b = split_train_test(X, y, 0.2, seed=9)
-        assert np.array_equal(a[0].X, b[0].X)
+        a = split_indices(50, 0.2, seed=9)
+        b = split_indices(50, 0.2, seed=9)
+        assert np.array_equal(a[0], b[0])
 
     def test_degenerate_fraction(self):
-        X, y = np.ones((5, 1)), np.zeros(5, dtype=int)
         for frac in (0.0, 1.0, -0.1):
             with pytest.raises(ValueError):
-                split_train_test(X, y, frac, seed=0)
+                split_indices(5, frac, seed=0)
 
     def test_shards_disjoint_exact(self):
         X = np.arange(200.0).reshape(200, 1)

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
-from fedmimic.data import AttackClass
+from fedmimic import features
+from fedmimic.data import (AttackClass, apply_pipeline, fit_pipeline,
+                           load_attack_mapping, map_labels, parse_records)
 from fedmimic.features import (FeatureRanking, fit_logreg,
                                inverse_frequency_weights, rfe, select_union)
+
+from conftest import make_kdd_lines
 
 
 def informative_matrix(n=300, noise_cols=8, seed=0):
@@ -42,7 +46,9 @@ class TestLogReg:
         x = np.concatenate([rng.uniform(-2, -1, 100), rng.uniform(1, 2, 100)])
         y = (x > 0).astype(int)
         model = fit_logreg(x.reshape(-1, 1), y, lr=0.1, epochs=200)
-        assert (model.predict(x.reshape(-1, 1)) == y).mean() == 1.0
+        # sigmoid(z) >= 0.5 exactly when z >= 0
+        predicted = (x.reshape(-1, 1) @ model.weights + model.bias >= 0)
+        assert (predicted.astype(int) == y).mean() == 1.0
 
     def test_deterministic(self):
         X, y, _ = informative_matrix(seed=5)
@@ -58,6 +64,18 @@ class TestLogReg:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             fit_logreg(np.ones((5, 2)), np.zeros(4, dtype=int))
+
+    @pytest.mark.parametrize("dtype,want", [
+        (np.float32, np.float32), (np.float64, np.float64),
+        (np.int64, np.float64)])
+    def test_computes_in_input_dtype(self, dtype, want):
+        X, y, _ = informative_matrix()
+        X = (X * 10).astype(dtype)
+        single = fit_logreg(X, y, epochs=20)
+        multi = fit_logreg(X, np.stack([y, 1 - y], axis=1), epochs=20,
+                           mask=np.ones((2, X.shape[1])))
+        assert single.weights.dtype == want
+        assert multi.weights.dtype == want and multi.bias.dtype == want
 
 
 class TestInverseFrequencyWeights:
@@ -100,6 +118,21 @@ class TestRFE:
         X, y, _ = informative_matrix(seed=9)
         assert rfe(X, y, target_k=3) == rfe(X, y, target_k=3)
 
+    @pytest.mark.parametrize("run", [
+        lambda X, y: rfe(X, y, target_k=2, step=3),
+        lambda X, y: select_union(X, y, k=2, step=3)])
+    def test_fits_in_float32(self, monkeypatch, run):
+        seen = []
+
+        def spy(X, *args, **kwargs):
+            seen.append(X.dtype)
+            return fit_logreg(X, *args, **kwargs)
+
+        monkeypatch.setattr(features, "fit_logreg", spy)
+        X, y, _ = informative_matrix()
+        run(X, y)
+        assert seen and all(dtype == np.float32 for dtype in seen)
+
 
 class TestSelectUnion:
     def _labels_5class(self, n=250, seed=4):
@@ -140,7 +173,7 @@ class TestSelectUnion:
 
 def reference_rfe(X, y, target_k, step, lr=0.1, epochs=200, balance=True):
     """Oracle: the single-target fit-and-drop loop that select_union ran once
-    per class before the classes were eliminated together."""
+    per class before the classes were eliminated together, in float64."""
     sw = inverse_frequency_weights(y) if balance else np.ones(len(y))
     sw = sw / sw.sum()
     remaining = list(range(X.shape[1]))
@@ -199,8 +232,21 @@ class TestSelectUnionOracle:
         kept = fit_logreg(X[:, 5:], Y[:, 1], epochs=50)
         np.testing.assert_allclose(model.weights[1, 5:], kept.weights,
                                    rtol=1e-12, atol=1e-15)
-        proba = model.predict_proba(X)
-        assert proba.shape == (X.shape[0], 3)
+        scores = X @ model.weights.T + model.bias
+        assert scores.shape == (X.shape[0], 3)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_one_hot_corpus_lists_equal_float64_loop(self, seed):
+        """The float32 elimination on prep's one-hot layout picks the lists
+        of the float64 single-target loop."""
+        records = parse_records(make_kdd_lines(n=400, seed=seed))
+        y = map_labels(records, load_attack_mapping())
+        X = apply_pipeline(fit_pipeline(records), records)
+        ranking = select_union(X, y, k=5, step=4)
+        for cls in AttackClass:
+            target = (y == cls).astype(np.int64)
+            assert ranking.per_class[cls.name] == reference_rfe(
+                X, target, 5, 4), cls.name
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_target_below_one_rejected(self, k):
