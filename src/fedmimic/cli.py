@@ -304,10 +304,11 @@ def read_split(cfg: dict, train_path: Path, test_path: Path | None):
 
 def cmd_prep(cfg: dict) -> list[Path]:
     out_dir = Path(cfg["out_dir"])
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError):
-        raise ValueError(f"--out-dir {out_dir} is not a directory") from None
+    # checked here, created only once the inputs have parsed, so that a
+    # failed prep leaves no empty directory behind
+    existing = next(d for d in (out_dir, *out_dir.parents) if d.exists())
+    if not existing.is_dir():
+        raise ValueError(f"--out-dir {out_dir} is not a directory")
     train_path = _resolve_dataset_path(cfg, "train_file", "KDDTrain+.txt")
     if train_path is None:
         raise MissingInput(f"no training file: pass --train-file or set "
@@ -322,6 +323,7 @@ def cmd_prep(cfg: dict) -> list[Path]:
     train_X = apply_pipeline(pipeline, train)
     test_X = apply_pipeline(pipeline, test)
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     np.save(out_dir / "train_X.npy", train_X)
     np.save(out_dir / "train_y.npy", train_y)
     np.save(out_dir / "test_X.npy", test_X)

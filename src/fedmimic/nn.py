@@ -64,8 +64,13 @@ class ModelParams:
         return self.like(self.buf.copy())
 
     def check_finite(self):
-        if np.isfinite(self.buf).all():
-            return
+        """Raise FloatingPointError naming the first layer with a non-finite
+        parameter. The sum of squares is finite when every parameter is and
+        none is huge, and one BLAS pass computes it; only when it is not
+        finite does the exact per-layer scan run."""
+        with np.errstate(over="ignore"):
+            if np.isfinite(np.dot(self.buf, self.buf)):
+                return
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise FloatingPointError(f"non-finite parameters in layer {k}")
@@ -78,11 +83,11 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    # adam_step's two temporaries, kept so that a step allocates nothing
-    temps: tuple = field(init=False, repr=False, compare=False)
+    # adam_step's temporary, kept so that a step allocates nothing
+    tmp: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.temps = (np.empty_like(self.m), np.empty_like(self.m))
+        self.tmp = np.empty_like(self.m)
 
     @classmethod
     def zeros_like(cls, model: ModelParams) -> "AdamState":
@@ -105,8 +110,11 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self):
-        if not (0.0 <= self.dropout_rate < 1.0):
-            raise ValueError(f"dropout_rate must be in [0,1), got {self.dropout_rate}")
+        # dropout keeps a unit with a probability that is a multiple of
+        # 2**-16 (_forward_cached), so it cannot keep less than that
+        if not (0.0 <= self.dropout_rate <= 1.0 - 2.0 ** -16):
+            raise ValueError(f"dropout_rate must be in [0, 1 - 2**-16], got "
+                             f"{self.dropout_rate}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         for name, b in (("beta1", self.beta1), ("beta2", self.beta2)):
@@ -148,15 +156,17 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 
 class Workspace:
-    """Arrays the forward and backward passes write into: the flat gradient
-    and, per layer, the activations, dropout masks and back-propagated errors
-    of a batch of up to `rows` rows (a shorter batch uses the leading rows).
+    """Arrays the forward and backward passes write into: the flat gradient,
+    its per-layer views (`grad_layers`) and, per layer, the activations,
+    dropout masks and back-propagated errors of a batch of up to `rows` rows
+    (a shorter batch uses the leading rows).
     train_local reuses one across its steps, because allocating arrays of
     this size afresh costs page faults on every step."""
 
     def __init__(self, model: ModelParams, rows: int):
         outs = [o for _, o in model.dims]
         self.grad = np.empty_like(model.buf)
+        self.grad_layers = model.like(self.grad)
         self.post, self.masks, self.errors = (
             [np.empty((rows, o), model.buf.dtype) for o in outs]
             for _ in range(3))
@@ -186,11 +196,19 @@ def _forward_cached(model, batch, dropout_rate, rng, training, work):
         else:
             a = np.maximum(z, 0.0, out=z)
             if training and dropout_rate > 0.0:
-                keep = 1.0 - dropout_rate
-                # inverted dropout: scale kept units so inference needs no rescale
-                mask = rng.random(out=work.masks[k][:n], dtype=a.dtype)
-                # dtype=: a bool / float division would run in float64
-                np.divide(mask < keep, keep, out=mask, dtype=a.dtype)
+                # keep a unit when a uniform 16-bit draw is below threshold:
+                # the keep probability is 1 - dropout_rate rounded to a
+                # multiple of 2**-16 (0.6 becomes 0.600006). Four draws from
+                # each 64-bit output of the bit generator cost less than half
+                # of rng.random's floats
+                threshold = round((1.0 - dropout_rate) * 65536)
+                bits = rng.bit_generator.random_raw(-(-a.size // 4))
+                bits = bits.view(np.uint16)[:a.size].reshape(a.shape)
+                mask = work.masks[k][:n]
+                # inverted dropout: scale kept units so inference needs no
+                # rescale. dtype=: a bool / float division would run in float64
+                np.divide(bits < threshold, threshold / 65536, out=mask,
+                          dtype=a.dtype)
                 a *= mask
         masks.append(mask)
         post.append(a)
@@ -252,7 +270,7 @@ def backward(model: ModelParams, batch: np.ndarray, targets: np.ndarray,
                                          rng, training, work)
     if targets.shape != probs.shape:
         raise ValueError(f"targets shape {targets.shape} != probs shape {probs.shape}")
-    grad = model.like(work.grad)
+    grad = work.grad_layers
     n = batch.shape[0]
 
     g = _loss_grad_wrt_probs(probs, targets, config.loss)
@@ -281,17 +299,15 @@ def adam_step(model: ModelParams, grad: np.ndarray, state: AdamState,
     if grad.shape != p.shape:
         raise ValueError(f"gradient shape {grad.shape} != parameter shape "
                          f"{p.shape}")
-    lr, b1, b2, eps = (config.learning_rate, config.beta1, config.beta2,
-                       config.epsilon)
+    # Python floats: a numpy float64 scalar would run the in-place float32
+    # operations below in a float64 loop
+    lr, b1, b2, eps = map(float, (config.learning_rate, config.beta1,
+                                  config.beta2, config.epsilon))
     state.t += 1
     c1 = 1.0 - b1 ** state.t
-    c2 = 1.0 - b2 ** state.t
-    m, v = state.m, state.v
-    tmp, step = state.temps
-    # the operation order of
-    #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
-    #   p -= lr * (m/c1) / (sqrt(v/c2) + eps)
-    # kept exactly, so results are bit-identical to the unfused expressions
+    root_c2 = (1.0 - b2 ** state.t) ** 0.5
+    m, v, tmp = state.m, state.v, state.tmp
+    # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
     np.multiply(1.0 - b1, grad, out=tmp)
     m *= b1
     m += tmp
@@ -299,13 +315,14 @@ def adam_step(model: ModelParams, grad: np.ndarray, state: AdamState,
     tmp *= grad
     v *= b2
     v += tmp
-    np.divide(m, c1, out=step)
-    step *= lr
-    np.divide(v, c2, out=tmp)
-    np.sqrt(tmp, out=tmp)
-    tmp += eps
-    step /= tmp
-    p -= step
+    # p -= lr * (m/c1) / (sqrt(v/c2) + eps), with the bias corrections
+    # folded into the scalars (Kingma & Ba, section 2):
+    # p -= (lr*sqrt(c2)/c1) * m / (sqrt(v) + eps*sqrt(c2))
+    np.sqrt(v, out=tmp)
+    tmp += eps * root_c2
+    np.divide(m, tmp, out=tmp)
+    tmp *= lr * root_c2 / c1
+    p -= tmp
     if state.t % 1024 == 0:
         # a dead unit's moments only decay (v by beta2 a step) and would
         # reach the subnormal range, where every pass over them is many

@@ -79,6 +79,16 @@ class TestPrep:
                    "--out-dir", str(tmp_path / "o")])
         assert rc == 5
 
+    @pytest.mark.parametrize("corpus, code", [(None, 2), ("1,2,3\n", 5)])
+    def test_failed_prep_creates_no_out_dir(self, tmp_path, corpus, code):
+        train = tmp_path / "train.txt"
+        if corpus is not None:
+            train.write_text(corpus)
+        rc = main(["--mode", "prep", "--train-file", str(train),
+                   "--out-dir", str(tmp_path / "new" / "o")])
+        assert rc == code
+        assert not (tmp_path / "new").exists()
+
     def test_non_finite_field_exit_5_writes_no_matrix(self, tmp_path,
                                                       capsys):
         lines = make_kdd_lines(n=20, seed=0)
@@ -194,6 +204,15 @@ class TestTrainModes:
         rc = main(["--mode", "central", "--out-dir", str(workdir),
                    "--dropout", "1.5"])
         assert rc == 4
+
+    def test_dropout_keeping_under_one_draw_in_65536_exit_4(self, workdir,
+                                                            capsys):
+        capsys.readouterr()
+        rc = main(["--mode", "central", "--out-dir", str(workdir),
+                   "--dropout", "0.99999"])
+        assert rc == 4
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and "dropout_rate" in err
 
     def test_ftml_history_has_double_fit_count_of_fsml(self, workdir,
                                                        tmp_path):
@@ -552,3 +571,14 @@ class TestPathKinds:
         err = capsys.readouterr().err.strip()
         assert err == f"error: --out-dir {taken} is not a directory"
         assert taken.read_text() == ""
+
+    def test_prep_out_dir_beneath_a_file_exit_4(self, prepped, tmp_path,
+                                                capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        capsys.readouterr()
+        assert main(["--mode", "prep", "--train-file",
+                     str(prepped / "train.txt"), "--out-dir",
+                     str(taken / "o")]) == 4
+        err = capsys.readouterr().err.strip()
+        assert err == f"error: --out-dir {taken / 'o'} is not a directory"

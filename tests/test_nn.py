@@ -59,6 +59,22 @@ class TestFlatLayout:
         with pytest.raises(ValueError):
             ModelParams([(2, 3)], [1], np.zeros(8))
 
+    def test_check_finite_passes_huge_finite_parameters(self):
+        # the sum of squares overflows, so the exact scan decides
+        m = ModelParams([(1, 1)], [1], np.array([3e38, 3e38], np.float32))
+        m.check_finite()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_check_finite_names_the_layer(self, bad):
+        m = init_model(3, 4, 5, seed=0)
+        m.weights[1][2, 0] = bad
+        with pytest.raises(FloatingPointError, match="in layer 1"):
+            m.check_finite()
+        m.weights[1][2, 0] = 0.0
+        m.biases[2][4] = bad
+        with pytest.raises(FloatingPointError, match="in layer 2"):
+            m.check_finite()
+
 
 class TestForward:
     def test_zero_weights_give_uniform(self):
@@ -97,6 +113,51 @@ class TestForward:
         p2 = forward(m, X, dropout_rate=0.4, rng=np.random.default_rng(99),
                      training=False)
         assert np.array_equal(p1, p2)
+
+
+class TestDropout:
+    RATE = 0.4
+    KEEP = round((1 - RATE) * 65536) / 65536  # 0.600006
+
+    @staticmethod
+    def masks(seed, dtype=np.float32, rate=RATE):
+        """The two hidden-layer masks of one training forward of 128 rows
+        through 256-unit layers."""
+        m = init_model(3, 256, 5, seed=0)
+        m = m.like(m.buf.astype(dtype))
+        X = np.random.default_rng(1).random((128, 3))
+        _, _, masks = _forward_cached(m, X.astype(dtype), rate,
+                                      np.random.default_rng(seed), True,
+                                      Workspace(m, 128))
+        return masks[:2]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mask_is_zero_or_inverse_keep(self, dtype):
+        scale = np.divide(True, self.KEEP, dtype=dtype)
+        for mask in self.masks(0, dtype):
+            assert mask.dtype == dtype and mask.shape == (128, 256)
+            assert set(np.unique(mask)) == {0.0, scale}
+
+    def test_kept_share_matches_rounded_keep_probability(self):
+        kept = sum(int(np.count_nonzero(mask))
+                   for seed in range(32) for mask in self.masks(seed))
+        n = 64 * 128 * 256
+        sigma = np.sqrt(self.KEEP * (1 - self.KEEP) / n)
+        assert abs(kept / n - self.KEEP) < 4 * sigma
+
+    def test_masks_deterministic_per_seed(self):
+        a, b, c = self.masks(5), self.masks(5), self.masks(6)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert not np.array_equal(a[0], c[0])
+        assert not np.array_equal(a[0], a[1])
+
+    def test_least_keep_probability(self):
+        # 1 - 2**-16 keeps one 16-bit draw in 65,536; validate() allows it
+        rate = 1.0 - 2.0 ** -16
+        TrainConfig(dropout_rate=rate).validate()
+        scale = np.divide(True, 2.0 ** -16, dtype=np.float32)
+        for mask in self.masks(0, rate=rate):
+            assert set(np.unique(mask)) <= {0.0, scale}
 
 
 class TestLoss:
@@ -198,6 +259,30 @@ class TestAdamStep:
         assert m2.weights[0][0, 0] == pytest.approx(expected, rel=1e-12)
         assert m2.biases[0][0] == 0.0
 
+    @pytest.mark.parametrize("dtype, rel", [(np.float64, 1e-12),
+                                            (np.float32, 1e-5)])
+    def test_folded_update_matches_textbook_form(self, dtype, rel):
+        # each step starts from zero parameters, so they end as minus the
+        # update itself and the tolerance is on the update, not on the
+        # rounding of p - update
+        cfg = TrainConfig()
+        lr, b1, b2, eps = (cfg.learning_rate, cfg.beta1, cfg.beta2,
+                           cfg.epsilon)
+        m = ModelParams([(6, 8), (8, 5)], [0, 1], np.zeros(101, dtype))
+        state = AdamState.zeros_like(m)
+        rng = np.random.default_rng(0)
+        for t in range(1, 201):
+            scale = 10.0 ** rng.uniform(-4, 0)
+            g = (rng.standard_normal(m.buf.size) * scale).astype(dtype)
+            mom = b1 * state.m + (1 - b1) * g
+            vel = b2 * state.v + (1 - b2) * g * g
+            expected = -lr * (mom / (1 - b1 ** t)) / (
+                np.sqrt(vel / (1 - b2 ** t)) + eps)
+            m.buf[:] = 0.0
+            adam_step(m, g, state, cfg)
+            assert m.buf.dtype == state.m.dtype == state.v.dtype == dtype
+            assert m.buf == pytest.approx(expected, rel=rel)
+
     def test_bit_identical_repeat(self):
         m = init_model(4, 5, 5, seed=6)
         X = np.random.default_rng(0).random((3, 4))
@@ -261,7 +346,7 @@ class TestDtype:
         state = AdamState.zeros_like(m)
         adam_step(m, grad, state, cfg)
         assert m.buf.dtype == dtype
-        assert all(a.dtype == dtype for a in (state.m, state.v, *state.temps))
+        assert all(a.dtype == dtype for a in (state.m, state.v, state.tmp))
         assert forward(m, X).dtype == dtype
 
         assert fedavg([m, trained], [1.0, 3.0]).buf.dtype == dtype
@@ -376,6 +461,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("bad", [
         {"dropout_rate": 1.0}, {"dropout_rate": -0.1}, {"batch_size": 0},
         {"beta1": 1.0}, {"beta2": -0.5}, {"loss": "hinge"}, {"epochs": -1},
+        {"dropout_rate": 0.99999},
     ])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
