@@ -204,11 +204,7 @@ def _sha256(path: Path) -> str:
 
 def blas_build() -> dict:
     """Name and version of the BLAS numpy was built with."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except TypeError:  # numpy < 1.25: no mode="dicts", no version
-        libs = getattr(np.__config__, "blas_opt_info", {}).get("libraries")
-        return {"name": libs[0] if libs else None, "version": None}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"name": blas.get("name"), "version": blas.get("version")}
 
 
@@ -302,7 +298,7 @@ def read_split(cfg: dict, train_path: Path, test_path: Path | None):
     return corpus.take(tr), y[tr], corpus.take(te), y[te]
 
 
-def cmd_prep(cfg: dict) -> list[Path]:
+def cmd_prep(cfg: dict) -> tuple[list[Path], list[str]]:
     out_dir = Path(cfg["out_dir"])
     # checked here, created only once the inputs have parsed, so that a
     # failed prep leaves no empty directory behind
@@ -352,41 +348,75 @@ def cmd_prep(cfg: dict) -> list[Path]:
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1,
                                                       sort_keys=True))
-    print(f"prep: {len(train)} train / {len(test)} test, "
-          f"{pipeline.expanded_dim} expanded features")
-    for name, count in class_counts(train_y).items():
-        print(f"  train {name}: {count}")
+    summary = [f"prep: {len(train)} train / {len(test)} test, "
+               f"{pipeline.expanded_dim} expanded features"]
+    summary += [f"  train {name}: {count}"
+                for name, count in class_counts(train_y).items()]
     return [out_dir / n for n in ("pipeline.json", "manifest.json",
                                   "train_X.npy", "train_y.npy",
-                                  "test_X.npy", "test_y.npy")]
+                                  "test_X.npy", "test_y.npy")], summary
+
+
+def _read_split(out_dir: Path, name: str, columns: int) -> Dataset:
+    """One prep split, ``<name>_X.npy`` and ``<name>_y.npy``, checked: X a
+    finite float matrix of ``columns`` columns, y one class index (0-4) per
+    row of X. Anything else raises ParseError naming the file (exit 5)."""
+    x_path, y_path = out_dir / f"{name}_X.npy", out_dir / f"{name}_y.npy"
+    arrays = []
+    for path in (x_path, y_path):
+        try:
+            arrays.append(np.load(path, allow_pickle=False))
+        except (ValueError, OSError, EOFError) as e:
+            raise ParseError(f"{path}: unreadable array ({e})") from None
+    X, y = arrays
+    if X.ndim != 2 or X.shape[1] != columns or X.dtype.kind != "f":
+        raise ParseError(f"{x_path}: {X.dtype} array of shape {X.shape} is "
+                         f"not a float matrix of {columns} columns")
+    if not np.isfinite(X).all():
+        raise ParseError(f"{x_path}: non-finite values")
+    if y.ndim != 1 or y.dtype.kind not in "iu" or len(y) != len(X):
+        raise ParseError(f"{y_path}: {y.dtype} array of shape {y.shape} is "
+                         f"not {len(X)} integer labels")
+    if len(y) and (y.min() < 0 or y.max() >= len(D.AttackClass)):
+        raise ParseError(f"{y_path}: labels outside 0-"
+                         f"{len(D.AttackClass) - 1}")
+    return Dataset(X, y)
 
 
 def load_prep(out_dir: Path, selected: bool = True):
     """(pipeline, train, test), both splits cut to the feature mask if there is
     one and cast to float32, the dtype models train and predict in.
     ``selected=False`` is the select stage's input: the float64 training split
-    on every expanded column and no test split (None)."""
+    on every expanded column and no test split (None). A damaged artifact
+    raises ParseError naming it."""
     needed = ["pipeline.json", "train_X.npy", "train_y.npy", "test_X.npy",
               "test_y.npy"]
     missing = [n for n in needed if not (out_dir / n).exists()]
     if missing:
         raise MissingPrep(f"prep artifacts missing from {out_dir}: {missing} "
                           f"(run --mode prep first)")
-    pipeline = PreprocessPipeline.from_json((out_dir / "pipeline.json").read_text())
-    train = Dataset(np.load(out_dir / "train_X.npy"),
-                    np.load(out_dir / "train_y.npy"))
+    path = out_dir / "pipeline.json"
+    try:
+        pipeline = PreprocessPipeline.from_json(path.read_text())
+    except ValueError as e:  # JSON and Unicode decoding errors included
+        raise ParseError(f"{path}: {e}") from None
+    dim = pipeline.expanded_dim
+    train = _read_split(out_dir, "train", dim)
     if not selected:
         return pipeline, train, None
-    test = Dataset(np.load(out_dir / "test_X.npy"),
-                   np.load(out_dir / "test_y.npy"))
-    if pipeline.feature_mask:
-        train = Dataset(select_columns(train.X, pipeline.feature_mask), train.y)
-        test = Dataset(select_columns(test.X, pipeline.feature_mask), test.y)
+    test = _read_split(out_dir, "test", dim)
+    mask = pipeline.feature_mask
+    if mask:
+        try:
+            train = Dataset(select_columns(train.X, mask), train.y)
+            test = Dataset(select_columns(test.X, mask), test.y)
+        except ValueError as e:  # out of range or out of order
+            raise ParseError(f"{path}: {e}") from None
     return (pipeline, Dataset(train.X.astype(np.float32), train.y),
             Dataset(test.X.astype(np.float32), test.y))
 
 
-def cmd_select(cfg: dict) -> list[Path]:
+def cmd_select(cfg: dict) -> tuple[list[Path], list[str]]:
     out_dir = Path(cfg["out_dir"])
     pipeline, train, _ = load_prep(out_dir, selected=False)
     ranking = select_union(train.X, train.y, k=cfg["k_features"],
@@ -394,9 +424,9 @@ def cmd_select(cfg: dict) -> list[Path]:
     pipeline.feature_mask = ranking.union_mask
     pipeline.per_class_features = ranking.per_class
     (out_dir / "pipeline.json").write_text(pipeline.to_json())
-    print(f"select: union mask has {len(ranking.union_mask)} of "
-          f"{pipeline.expanded_dim} features")
-    return [out_dir / "pipeline.json"]
+    return [out_dir / "pipeline.json"], [
+        f"select: union mask has {len(ranking.union_mask)} of "
+        f"{pipeline.expanded_dim} features"]
 
 
 def build_mimic_clients(train: Dataset, cfg: dict) -> list[MimicClient]:
@@ -432,12 +462,11 @@ def build_mimic_clients(train: Dataset, cfg: dict) -> list[MimicClient]:
     return clients
 
 
-def cmd_train(cfg: dict) -> list[Path]:
+def cmd_train(cfg: dict) -> tuple[list[Path], list[str]]:
     out_dir = Path(cfg["out_dir"])
     _, train, test = load_prep(out_dir)
     tc = train_config(cfg)
     mode, seed = cfg["mode"], cfg["seed"]
-    teacher_fits = 0
 
     if mode == "central":  # one client holding the whole train set, one round
         model, history = run_fl([ClientShard(0, train)], test, rounds=1,
@@ -454,7 +483,7 @@ def cmd_train(cfg: dict) -> list[Path]:
                                   student_init=cfg["student_init"],
                                   threads=cfg["threads"])
     else:
-        model, history, teacher_fits = run_fsml(
+        model, history = run_fsml(
             build_mimic_clients(train, cfg), test, cfg["rounds"], tc, seed,
             hidden=cfg["hidden"], threads=cfg["threads"])
 
@@ -464,12 +493,10 @@ def cmd_train(cfg: dict) -> list[Path]:
     (out_dir / "report.txt").write_text(report.to_text())
     (out_dir / "report.csv").write_text(report.to_csv())
     (out_dir / "report.json").write_text(report.to_json())
-    print(f"{mode}: overall test accuracy {report.overall_accuracy:.2f}%")
-    if teacher_fits:
-        print(f"  one-time teacher fits: {teacher_fits}")
     return [out_dir / n for n in ("model.fmim", "history.csv", "report.txt",
                                   "report.csv", "report.json",
-                                  "pipeline.json")]
+                                  "pipeline.json")], [
+        f"{mode}: overall test accuracy {report.overall_accuracy:.2f}%"]
 
 
 def accuracy_series(hist_path: Path) -> str:
@@ -490,7 +517,7 @@ def accuracy_series(hist_path: Path) -> str:
     return "\n".join(series) + "\n"
 
 
-def cmd_eval(cfg: dict) -> list[Path]:
+def cmd_eval(cfg: dict) -> tuple[list[Path], list[str]]:
     out_dir = Path(cfg["out_dir"])
     model_path = input_file(cfg["model_file"] or out_dir / "model.fmim",
                             "model file")
@@ -512,21 +539,37 @@ def cmd_eval(cfg: dict) -> list[Path]:
     if series is not None:
         (out_dir / "accuracy_series.csv").write_text(series)
         artifacts.append(out_dir / "accuracy_series.csv")
-    print(f"eval: overall test accuracy {report.overall_accuracy:.2f}%")
-    return artifacts
+    return artifacts, [
+        f"eval: overall test accuracy {report.overall_accuracy:.2f}%"]
+
+
+def print_summary(lines: list[str]) -> None:
+    """Prints a stage's summary lines. A reader that has closed stdout does
+    not fail the stage: stdout then points at devnull, so that neither these
+    lines nor the flush at exit raise BrokenPipeError."""
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def main(argv=None) -> int:
     """Runs one stage; on success runmeta.json records its config, the
-    digests of the artifacts it wrote and its environment."""
+    digests of the artifacts it wrote and its environment, and then the
+    stage prints its summary."""
     start = time.perf_counter()
     args = build_parser().parse_args(argv)
     commands = {"prep": cmd_prep, "select": cmd_select, "eval": cmd_eval}
     try:
         cfg = resolve_config(args)
-        artifacts = commands.get(cfg["mode"], cmd_train)(cfg)
+        artifacts, summary = commands.get(cfg["mode"], cmd_train)(cfg)
         write_runmeta(Path(cfg["out_dir"]), cfg, artifacts,
                       time.perf_counter() - start)
+        print_summary(summary)
         return EXIT_OK
     except (MissingInput, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -242,12 +242,26 @@ class PreprocessPipeline:
 
     @classmethod
     def from_json(cls, text: str) -> "PreprocessPipeline":
+        """Raises ValueError naming what makes ``text`` no pipeline: no JSON
+        object, a missing key, vocabularies that are not one list per
+        nominal feature, or a feature mask that is not a list of ints."""
         doc = json.loads(text)
-        return cls(vocabs=doc["vocabs"],
-                   mins=np.asarray(doc["mins"]),
-                   maxs=np.asarray(doc["maxs"]),
-                   feature_mask=doc["feature_mask"],
-                   per_class_features=doc.get("per_class_features", {}))
+        if not isinstance(doc, dict):
+            raise ValueError("not a JSON object")
+        missing = [f.name for f in fields(cls) if f.name not in doc]
+        if missing:
+            raise ValueError(f"missing keys {missing}")
+        vocabs, mask = doc["vocabs"], doc["feature_mask"]
+        if not (isinstance(vocabs, dict)
+                and sorted(vocabs) == sorted(NOMINAL_FEATURES)
+                and all(isinstance(v, list) for v in vocabs.values())):
+            raise ValueError("'vocabs' is not one list per nominal feature")
+        if mask is not None and not (isinstance(mask, list) and all(
+                type(i) is int for i in mask)):
+            raise ValueError("'feature_mask' is not null or a list of ints")
+        return cls(vocabs=vocabs, mins=np.asarray(doc["mins"]),
+                   maxs=np.asarray(doc["maxs"]), feature_mask=mask,
+                   per_class_features=doc["per_class_features"])
 
 
 def fit_pipeline(records: Records) -> PreprocessPipeline:

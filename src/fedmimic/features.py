@@ -104,20 +104,20 @@ def inverse_frequency_weights(y: np.ndarray) -> np.ndarray:
     return w * len(y)
 
 
-def rfe(X: np.ndarray, y: np.ndarray, target_k: int = 20, step: int = 5,
-        lr: float = 0.1, epochs: int = 200, balance: bool = True) -> list[int]:
-    """Recursive feature elimination: refit logistic regression on the
-    surviving columns, drop the `step` smallest-|weight| features, repeat
-    until target_k remain. Returns survivors in original-index order."""
-    return _eliminate(X, np.asarray(y)[None, :], target_k, step, lr, epochs,
-                      balance)[0]
+def rfe(X: np.ndarray, y: np.ndarray, target_k: int = 20,
+        step: int = 5) -> list[int]:
+    """Recursive feature elimination: refit class-balanced logistic
+    regression (fit_logreg's default lr and epochs) on the surviving columns,
+    drop the `step` smallest-|weight| features, repeat until target_k
+    remain. Returns survivors in original-index order."""
+    return _eliminate(X, np.asarray(y)[None, :], target_k, step)[0]
 
 
-def _eliminate(X: np.ndarray, targets: np.ndarray, target_k: int, step: int,
-               lr: float, epochs: int, balance: bool) -> list[list[int]]:
-    """RFE for each row of the (c x n) 0/1 ``targets``, one c-target fit per
-    elimination on the columns any target still keeps. The fits run in
-    float32; fit_logreg casts the targets and weights to match."""
+def _eliminate(X: np.ndarray, targets: np.ndarray, target_k: int,
+               step: int) -> list[list[int]]:
+    """RFE for each row of the (c x n) 0/1 ``targets``, one class-balanced
+    c-target fit per elimination on the columns any target still keeps. The
+    fits run in float32; fit_logreg casts the targets and weights to match."""
     X = np.asarray(X, dtype=np.float32)
     d = X.shape[1]
     if target_k > d:
@@ -127,15 +127,13 @@ def _eliminate(X: np.ndarray, targets: np.ndarray, target_k: int, step: int,
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
     Y = np.asarray(targets, dtype=np.float64)
-    sw = (np.stack([inverse_frequency_weights(t) for t in Y]) if balance
-          else None)
+    sw = np.stack([inverse_frequency_weights(t) for t in Y])
     alive = np.ones((len(Y), d), dtype=bool)
     remaining = d
     while remaining > target_k:
         union = np.flatnonzero(alive.any(axis=0))
         XuT = X.T[union]  # C-contiguous, so the forward W @ XuT reads rows
-        model = fit_logreg(XuT.T, Y.T, lr=lr, epochs=epochs,
-                           sample_weights=None if sw is None else sw.T,
+        model = fit_logreg(XuT.T, Y.T, sample_weights=sw.T,
                            mask=alive[:, union])
         drop = min(step, remaining - target_k)
         for c, w in enumerate(model.weights):
@@ -148,8 +146,7 @@ def _eliminate(X: np.ndarray, targets: np.ndarray, target_k: int, step: int,
 
 
 def select_union(X: np.ndarray, labels: np.ndarray, k: int = 20,
-                 step: int = 5, lr: float = 0.1, epochs: int = 200,
-                 balance: bool = True) -> FeatureRanking:
+                 step: int = 5) -> FeatureRanking:
     """One-vs-rest RFE per attack class, all five classes eliminated
     together; the mask is the sorted union of the five top-k lists."""
     labels = np.asarray(labels)
@@ -158,6 +155,6 @@ def select_union(X: np.ndarray, labels: np.ndarray, k: int = 20,
         if not target.any():
             log.warning("class %s absent from labels; RFE runs on an all-zero "
                         "target", cls.name)
-    kept = _eliminate(X, targets, k, step, lr, epochs, balance)
+    kept = _eliminate(X, targets, k, step)
     return FeatureRanking.from_per_class(
         {cls.name: cols for cls, cols in zip(AttackClass, kept)})

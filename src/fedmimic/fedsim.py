@@ -50,10 +50,6 @@ class RoundRecord:
 class RoundHistory:
     rounds: list[RoundRecord] = field(default_factory=list)
 
-    @property
-    def total_local_fits(self) -> int:
-        return sum(r.local_fits for r in self.rounds)
-
     def to_csv(self) -> str:
         if not self.rounds:
             return "round,test_accuracy,local_fits\n"
@@ -272,11 +268,12 @@ def sort_clients(clients: list) -> list:
     return sorted(clients, key=lambda c: c.client_id)
 
 
-def run_rounds(clients: list, step, test: Dataset, rounds: int,
-               init: ModelParams, threads: int,
+def run_rounds(clients: list, step, test: Dataset, rounds: int, seed: int,
+               hidden: int, threads: int,
                weights: list[float] | None = None,
                fits_per_client: int = 1) -> tuple[ModelParams, RoundHistory]:
-    """The round loop of every regime. Each round runs ``step(global_model,
+    """The round loop of every regime, from the start model seeded by
+    ``seed`` (``hidden`` units a layer). Each round runs ``step(global_model,
     client, rnd, prev) -> (local_model, losses, pseudo_labels | None)`` for
     the clients (``sort_clients`` order; ``weights`` follow it), averages
     the local models and records one RoundRecord. ``prev`` is what the
@@ -287,7 +284,8 @@ def run_rounds(clients: list, step, test: Dataset, rounds: int,
     worker processes forked once for all rounds (see ``_ClientWorkers``):
     processes, not threads, because client threads would hand numpy's GIL
     back and forth thousands of times a fit."""
-    global_model = init
+    global_model = init_model(test.X.shape[1], hidden,
+                              seed=derive_seed(seed, TAG_INIT))
     history = RoundHistory()
     workers = min(threads, len(clients))
     if workers > 1:
@@ -339,7 +337,5 @@ def run_fl(shards: list[ClientShard], test: Dataset, rounds: int = 20,
                                     cfg)
         return model, losses, None
 
-    init = init_model(shards[0].data.X.shape[1], hidden, 5,
-                      seed=derive_seed(seed, TAG_INIT))
-    return run_rounds(shards, fit, test, rounds, init, threads,
+    return run_rounds(shards, fit, test, rounds, seed, hidden, threads,
                       weights=[float(len(s.data)) for s in shards])

@@ -77,14 +77,12 @@ class EvalReport:
         return json.dumps(doc, indent=1, sort_keys=True)
 
 
-def per_class_metrics(cm: np.ndarray,
-                      class_names: list[str] | None = None) -> EvalReport:
+def per_class_metrics(cm: np.ndarray) -> EvalReport:
     """One-vs-rest metrics per class plus the overall (micro) accuracy."""
     cm = np.asarray(cm)
     n = int(cm.sum())
-    names = class_names if class_names is not None else CLASS_NAMES[:cm.shape[0]]
     per_class = {}
-    for c, name in enumerate(names):
+    for c, name in enumerate(CLASS_NAMES[:cm.shape[0]]):
         tp = float(cm[c, c])
         fp = float(cm[:, c].sum() - tp)
         fn = float(cm[c, :].sum() - tp)

@@ -10,8 +10,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, PublicSet
-from .fedsim import (TAG_CLIENT, TAG_INIT, TAG_STUDENT_INIT, TAG_TEACHER,
-                     RoundHistory, derive_seed, run_rounds, sort_clients)
+from .fedsim import (TAG_CLIENT, TAG_STUDENT_INIT, TAG_TEACHER, RoundHistory,
+                     derive_seed, run_rounds, sort_clients)
 from .metrics import pseudo_label_agreement  # re-exported
 from .nn import ModelParams, TrainConfig, init_model, predict, train_local
 
@@ -53,7 +53,6 @@ def run_ftml(clients: list[MimicClient], test: Dataset, rounds: int = 20,
         raise ValueError(f"unknown student_init policy {student_init!r}")
     clients = sort_clients(clients)
     config = config or TrainConfig()
-    input_dim = clients[0].private.X.shape[1]
 
     def step(global_model, client, rnd, prev):
         cid = client.client_id
@@ -63,25 +62,24 @@ def run_ftml(clients: list[MimicClient], test: Dataset, rounds: int = 20,
         elif student_init == "global":
             s0 = global_model
         else:
-            s0 = init_model(input_dim, hidden, 5,
+            s0 = init_model(global_model.input_dim, hidden,
                             seed=derive_seed(seed, TAG_STUDENT_INIT, cid, rnd))
         s_cfg = replace(config, seed=derive_seed(seed, TAG_CLIENT, cid, rnd))
         student, losses = train_local(s0, client.public.X, pseudo, s_cfg)
         return student, losses, pseudo
 
-    init = init_model(input_dim, hidden, 5, seed=derive_seed(seed, TAG_INIT))
-    return run_rounds(clients, step, test, rounds, init, threads,
+    return run_rounds(clients, step, test, rounds, seed, hidden, threads,
                       fits_per_client=2)
 
 
 def run_fsml(clients: list[MimicClient], test: Dataset, rounds: int = 20,
              config: TrainConfig | None = None, seed: int = 0,
              hidden: int = 256, threads: int = 1,
-             ) -> tuple[ModelParams, RoundHistory, int]:
+             ) -> tuple[ModelParams, RoundHistory]:
     """Federated student mimic learning. Teachers train once, in round 0, and
     their pseudo-labels are frozen; each round the student trains from the
-    current global on them. One local fit per client per round, plus the
-    one-time teacher fits (returned last)."""
+    current global on them. One local fit per client per round, plus one
+    teacher fit per client in round 0."""
     clients = sort_clients(clients)
     config = config or TrainConfig()
 
@@ -95,7 +93,4 @@ def run_fsml(clients: list[MimicClient], test: Dataset, rounds: int = 20,
                                       cfg)
         return student, losses, pseudo
 
-    init = init_model(clients[0].private.X.shape[1], hidden, 5,
-                      seed=derive_seed(seed, TAG_INIT))
-    model, history = run_rounds(clients, step, test, rounds, init, threads)
-    return model, history, len(clients) if rounds > 0 else 0
+    return run_rounds(clients, step, test, rounds, seed, hidden, threads)

@@ -180,9 +180,10 @@ def _check_batch(model, batch):
     return batch
 
 
-def _forward_cached(model, batch, dropout_rate, rng, training, work):
+def _forward_cached(model, batch, work, dropout_rate=0.0, rng=None):
     """Forward pass keeping each layer's input and dropout mask for backprop,
-    written into `work`."""
+    written into `work`. Hidden units drop only given an rng and a positive
+    rate."""
     n = batch.shape[0]
     a = batch
     post, masks = [batch], []
@@ -195,7 +196,7 @@ def _forward_cached(model, batch, dropout_rate, rng, training, work):
             a = softmax(z)
         else:
             a = np.maximum(z, 0.0, out=z)
-            if training and dropout_rate > 0.0:
+            if rng is not None and dropout_rate > 0.0:
                 # keep a unit when a uniform 16-bit draw is below threshold:
                 # the keep probability is 1 - dropout_rate rounded to a
                 # multiple of 2**-16 (0.6 becomes 0.600006). Four draws from
@@ -215,14 +216,11 @@ def _forward_cached(model, batch, dropout_rate, rng, training, work):
     return a, post, masks
 
 
-def forward(model: ModelParams, batch: np.ndarray, dropout_rate: float = 0.0,
-            rng: np.random.Generator | None = None,
-            training: bool = False) -> np.ndarray:
-    """Class probabilities, shape (B, classes). Rows sum to 1."""
-    if training and dropout_rate > 0.0 and rng is None:
-        raise ValueError("training forward with dropout requires an rng")
+def forward(model: ModelParams, batch: np.ndarray) -> np.ndarray:
+    """Class probabilities at inference (no dropout), shape (B, classes).
+    Rows sum to 1."""
     batch = _check_batch(model, batch)
-    probs, _, _ = _forward_cached(model, batch, dropout_rate, rng, training,
+    probs, _, _ = _forward_cached(model, batch,
                                   Workspace(model, batch.shape[0]))
     return probs
 
@@ -265,9 +263,8 @@ def backward(model: ModelParams, batch: np.ndarray, targets: np.ndarray,
     targets = np.asarray(targets, dtype=model.buf.dtype)
     if work is None:
         work = Workspace(model, batch.shape[0])
-    training = config.dropout_rate > 0.0 and rng is not None
-    probs, post, masks = _forward_cached(model, batch, config.dropout_rate,
-                                         rng, training, work)
+    probs, post, masks = _forward_cached(model, batch, work,
+                                         config.dropout_rate, rng)
     if targets.shape != probs.shape:
         raise ValueError(f"targets shape {targets.shape} != probs shape {probs.shape}")
     grad = work.grad_layers
@@ -382,8 +379,4 @@ def train_local(model: ModelParams, X: np.ndarray, y: np.ndarray,
 
 def predict(model: ModelParams, batch: np.ndarray) -> np.ndarray:
     """Argmax class per row, dropout off; ties resolve to the lowest index."""
-    batch = np.asarray(batch, dtype=model.buf.dtype)
-    if batch.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
-    probs = forward(model, batch, training=False)
-    return probs.argmax(axis=1)
+    return forward(model, batch).argmax(axis=1)

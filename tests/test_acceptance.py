@@ -128,7 +128,8 @@ def test_criterion_6_data_integrity(real_prep):
 # ---------------------------------------------------------------------------
 # dataset-independent criteria
 
-def test_criterion_4_cost_claim():
+def test_criterion_4_cost_claim(monkeypatch):
+    from fedmimic import mimic
     from fedmimic.data import Dataset, PublicSet
     from fedmimic.fedsim import RoundHistory
     from fedmimic.mimic import MimicClient, run_fsml, run_ftml
@@ -140,12 +141,15 @@ def test_criterion_4_cost_claim():
                for c in range(4)]
     test = Dataset(*toy_separable(20, seed=99))
     _, h_ftml = run_ftml(clients, test, rounds=3, config=cfg, seed=1, hidden=6)
-    _, h_fsml, teacher_fits = run_fsml(clients, test, rounds=3, config=cfg,
-                                       seed=1, hidden=6)
+    taught, teach = [], mimic._teach
+    monkeypatch.setattr(mimic, "_teach", lambda *a: taught.append(
+        a[3].client_id) or teach(*a))
+    _, h_fsml = run_fsml(clients, test, rounds=3, config=cfg, seed=1,
+                         hidden=6)
     for rt, rs in zip(h_ftml.rounds, h_fsml.rounds):
         assert rt.local_fits == 8 and rs.local_fits == 4
         assert rs.local_fits * 2 == rt.local_fits
-    assert teacher_fits == 4
+    assert taught == [0, 1, 2, 3]  # one teacher fit per client, ever
     ok(4, "measured per-round device cost: FSML = 1 fit/client = exactly "
           "half of FTML's 2 fits/client")
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmimic.cli import (MINIMUM, blas_build, build_parser, load_prep, main,
+from fedmimic.cli import (MINIMUM, build_parser, load_prep, main,
                           resolve_config, train_config, usable_cpus)
 from fedmimic.fedsim import ClientShard, openblas_threads, run_fl
 from fedmimic.modelio import save_model
@@ -157,6 +157,35 @@ class TestPrep:
                    (prepped / "out" / name).read_bytes()
 
 
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_prep_succeeds_into_a_closed_pipe(self, prepped, tmp_path,
+                                              unbuffered):
+        """``fedmimic --mode prep ... | true``: the reader is gone before the
+        summary is printed, buffered or not."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(__file__).parents[1] / "src"),
+             os.environ.get("PYTHONPATH", "")]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        out = tmp_path / "out"
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "fedmimic.cli", "--mode", "prep",
+                 "--train-file", str(prepped / "train.txt"),
+                 "--out-dir", str(out)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        meta = json.loads((out / "runmeta.json").read_text())
+        assert len(meta["artifacts"]) == 6
+
+
 class TestSelect:
     def test_mask_written(self, prepped):
         pipe = json.loads((prepped / "out" / "pipeline.json").read_text())
@@ -184,6 +213,75 @@ class TestSelect:
             capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 4
         assert "'k_features'" in proc.stderr
+
+
+def _damage(out: Path, case: str) -> str:
+    """Damages one prep artifact in ``out`` and returns its name."""
+    def edit_npy(name, change):
+        np.save(out / name, change(np.load(out / name)))
+        return name
+
+    def edit_pipeline(change):
+        doc = json.loads((out / "pipeline.json").read_text())
+        change(doc)
+        (out / "pipeline.json").write_text(json.dumps(doc))
+        return "pipeline.json"
+
+    if case == "y_shorter_than_X":
+        return edit_npy("train_y.npy", lambda y: y[:-1])
+    if case == "no_feature_mask":
+        return edit_pipeline(lambda doc: doc.pop("feature_mask"))
+    if case == "mask_out_of_range":
+        return edit_pipeline(lambda doc: doc["feature_mask"].append(10 ** 6))
+    if case == "X_all_nan":
+        return edit_npy("train_X.npy", lambda X: np.full_like(X, np.nan))
+    if case == "X_missing_a_column":
+        return edit_npy("test_X.npy", lambda X: X[:, 1:])
+    if case in ("train_label_9", "test_label_9"):
+        return edit_npy(f"{case[:-8]}_y.npy",
+                        lambda y: np.where(np.arange(len(y)) == 3, 9, y))
+    if case == "float_labels":
+        return edit_npy("train_y.npy", lambda y: y.astype(np.float64))
+    if case == "truncated_npy":
+        data = (out / "train_X.npy").read_bytes()
+        (out / "train_X.npy").write_bytes(data[:len(data) // 2])
+        return "train_X.npy"
+    if case == "object_npy":
+        np.save(out / "train_y.npy", np.array([0, "x", None], dtype=object))
+        return "train_y.npy"
+    assert case == "unparsable_pipeline"
+    (out / "pipeline.json").write_text('{"vocabs": ')
+    return "pipeline.json"
+
+
+DAMAGES = ["y_shorter_than_X", "no_feature_mask", "X_all_nan",
+           "train_label_9", "float_labels", "truncated_npy", "object_npy",
+           "unparsable_pipeline"]
+# select reads no test split and replaces the feature mask, so these damages
+# show only in fl and eval
+MASK_AND_TEST_DAMAGES = ["mask_out_of_range", "X_missing_a_column",
+                         "test_label_9"]
+
+
+class TestDamagedPrep:
+    @pytest.mark.parametrize("mode,case", [
+        *((mode, case) for mode in ("select", "fl", "eval")
+          for case in DAMAGES),
+        *((mode, case) for mode in ("fl", "eval")
+          for case in MASK_AND_TEST_DAMAGES)])
+    def test_exit_5_naming_the_file(self, workdir, capsys, mode, case):
+        from fedmimic.nn import init_model
+        width = load_prep(workdir)[1].X.shape[1]
+        save_model(init_model(width, 3, 5, seed=0), workdir / "model.fmim")
+        name = _damage(workdir, case)
+        capsys.readouterr()
+        argv = ["--mode", mode, "--out-dir", str(workdir)]
+        assert main(argv + (TRAIN_FLAGS if mode == "fl" else [])) == 5
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"error: {workdir / name}: ")
+        assert "\n" not in err
+        assert not (workdir / "report.json").exists()
+        assert not (workdir / "eval_report.json").exists()
 
 
 class TestTrainModes:
@@ -311,12 +409,6 @@ class TestTrainModes:
         else:
             assert env["peak_rss_mb"] is None
         assert 1 < env["workers_peak_rss_mb"] < 4096  # 2 workers joined
-
-    def test_blas_build_without_show_config_dicts(self, monkeypatch):
-        def old_show_config():  # numpy < 1.25 takes no mode
-            raise AssertionError("printed instead of returning")
-        monkeypatch.setattr(np, "show_config", old_show_config)
-        assert set(blas_build()) == {"name", "version"}
 
     def test_threads_default_is_the_usable_cpus(self):
         cfg = resolve_config(build_parser().parse_args(["--mode", "fl"]))

@@ -171,10 +171,10 @@ class TestSelectUnion:
         assert FeatureRanking.from_per_class(per_class).union_mask == [1, 2, 3]
 
 
-def reference_rfe(X, y, target_k, step, lr=0.1, epochs=200, balance=True):
+def reference_rfe(X, y, target_k, step, lr=0.1, epochs=200):
     """Oracle: the single-target fit-and-drop loop that select_union ran once
     per class before the classes were eliminated together, in float64."""
-    sw = inverse_frequency_weights(y) if balance else np.ones(len(y))
+    sw = inverse_frequency_weights(y)
     sw = sw / sw.sum()
     remaining = list(range(X.shape[1]))
     while len(remaining) > target_k:
@@ -204,17 +204,16 @@ class TestSelectUnionOracle:
         X[:, 16:] = 0.0
         return X, y
 
-    @pytest.mark.parametrize("balance", [True, False])
     @pytest.mark.parametrize("k,step", [(3, 1), (4, 5), (2, 100)])
-    def test_per_class_lists_equal_single_target_loop(self, balance, k, step):
+    def test_per_class_lists_equal_single_target_loop(self, k, step):
         X, y = self._imbalanced()
-        ranking = select_union(X, y, k=k, step=step, balance=balance)
+        ranking = select_union(X, y, k=k, step=step)
         for cls in AttackClass:
             target = (y == cls).astype(np.int64)
             assert ranking.per_class[cls.name] == reference_rfe(
-                X, target, k, step, balance=balance), cls.name
+                X, target, k, step), cls.name
             assert ranking.per_class[cls.name] == rfe(
-                X, target, target_k=k, step=step, balance=balance)
+                X, target, target_k=k, step=step)
 
     def test_multi_target_fit_equals_masked_single_fits(self):
         X, y = self._imbalanced()

@@ -130,7 +130,7 @@ class TestRunFl:
         test = Dataset(*toy_separable(30, seed=9))
         _, history = run_fl(shards, test, rounds=4, config=FAST, seed=1,
                             hidden=6)
-        assert history.total_local_fits == 3 * 4
+        assert sum(r.local_fits for r in history.rounds) == 3 * 4
         assert all(r.local_fits == 3 for r in history.rounds)
 
     def test_deterministic_history(self):
@@ -190,7 +190,7 @@ class TestClientPool:
     def rounds(step, threads, rounds=2, clients=3):
         return run_rounds(make_shards(num_clients=clients), step,
                           Dataset(*toy_separable(30, seed=9)), rounds,
-                          init_model(4, 6, 5, seed=0), threads)
+                          seed=0, hidden=6, threads=threads)
 
     def test_blas_at_one_thread_inside_and_restored_after(self, blas):
         def step(global_model, client, rnd, prev):

@@ -93,7 +93,7 @@ class TestFtml:
         _, history = run_ftml(clients, test, rounds=3, config=FAST, seed=1,
                               hidden=6)
         assert all(r.local_fits == 2 * 3 for r in history.rounds)
-        assert history.total_local_fits == 2 * 3 * 3
+        assert sum(r.local_fits for r in history.rounds) == 2 * 3 * 3
 
     def test_deterministic_and_thread_invariant(self):
         clients = make_clients()
@@ -138,22 +138,23 @@ class TestFsml:
             a[3].client_id) or teach(*a))
         clients = make_clients(num_clients=3)
         test = Dataset(*toy_separable(20, seed=9))
-        model, history, teacher_fits = run_fsml(clients, test, rounds=4,
-                                                config=FAST, seed=1, hidden=6)
-        assert teacher_fits == 3 and taught == [0, 1, 2]
+        model, history = run_fsml(clients, test, rounds=4, config=FAST,
+                                  seed=1, hidden=6)
+        assert taught == [0, 1, 2]
         assert all(r.local_fits == 3 for r in history.rounds)
-        assert history.total_local_fits == 3 * 4
-        m3, h3, t3 = run_fsml(clients, test, rounds=4, config=FAST, seed=1,
-                              hidden=6, threads=3)
+        assert sum(r.local_fits for r in history.rounds) == 3 * 4
+        m3, h3 = run_fsml(clients, test, rounds=4, config=FAST, seed=1,
+                          hidden=6, threads=3)
         assert models_equal(model, m3) and h3.to_csv() == history.to_csv()
-        assert t3 == 3
 
-    def test_zero_rounds_fit_no_teachers(self):
+    def test_zero_rounds_fit_no_teachers(self, monkeypatch):
+        taught = []
+        monkeypatch.setattr(mimic, "_teach", lambda *a: taught.append(a))
         clients = make_clients(num_clients=3)
         test = Dataset(*toy_separable(20, seed=9))
-        model, history, teacher_fits = run_fsml(clients, test, rounds=0,
-                                                config=FAST, seed=4, hidden=6)
-        assert teacher_fits == 0 and history.rounds == []
+        model, history = run_fsml(clients, test, rounds=0, config=FAST,
+                                  seed=4, hidden=6)
+        assert taught == [] and history.rounds == []
         assert models_equal(model, init_model(4, 6, 5,
                                               seed=derive_seed(4, TAG_INIT)))
 
@@ -162,8 +163,8 @@ class TestFsml:
         test = Dataset(*toy_separable(20, seed=9))
         _, h_ftml = run_ftml(clients, test, rounds=3, config=FAST, seed=1,
                              hidden=6)
-        _, h_fsml, _ = run_fsml(clients, test, rounds=3, config=FAST, seed=1,
-                                hidden=6)
+        _, h_fsml = run_fsml(clients, test, rounds=3, config=FAST, seed=1,
+                             hidden=6)
         for rt, rs in zip(h_ftml.rounds, h_fsml.rounds):
             assert rt.local_fits == 2 * rs.local_fits
 
@@ -171,8 +172,8 @@ class TestFsml:
         clients = make_clients(num_clients=2)
         test = Dataset(*toy_separable(20, seed=9))
         seed = 5
-        model, _, _ = run_fsml(clients, test, rounds=1, config=FAST,
-                               seed=seed, hidden=6)
+        model, _ = run_fsml(clients, test, rounds=1, config=FAST,
+                            seed=seed, hidden=6)
 
         init = init_model(4, 6, 5, seed=derive_seed(seed, TAG_INIT))
         students = []
@@ -210,8 +211,8 @@ class TestFsml:
             assert np.array_equal(label_public(teacher, c.public.X),
                                   c.public.truth_for_diagnostics())
 
-        m_fsml, h_fsml, _ = run_fsml(clients, test, rounds=2, config=LEARN,
-                                     seed=seed, hidden=12)
+        m_fsml, h_fsml = run_fsml(clients, test, rounds=2, config=LEARN,
+                                  seed=seed, hidden=12)
         m_fl, h_fl = run_fl(shards, test, rounds=2, config=LEARN, seed=seed,
                             hidden=12)
         assert models_equal(m_fsml, m_fl)

@@ -90,8 +90,8 @@ class TestForward:
         m = init_model(2, 2, 5, seed=0)
         m.weights[0][:] = np.eye(2)
         m.biases[0][:] = 0.0
-        _, post, _ = _forward_cached(m, np.array([[-1.0, 2.0]]), 0.0, None,
-                                     False, Workspace(m, 1))
+        _, post, _ = _forward_cached(m, np.array([[-1.0, 2.0]]),
+                                     Workspace(m, 1))
         assert np.array_equal(post[1], [[0.0, 2.0]])
 
     def test_rows_sum_to_one(self):
@@ -105,15 +105,6 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(m, np.zeros((4, 7)))
 
-    def test_inference_independent_of_rng(self):
-        m = init_model(5, 8, 5, seed=0)
-        X = np.random.default_rng(2).random((6, 5))
-        p1 = forward(m, X, dropout_rate=0.4, rng=np.random.default_rng(1),
-                     training=False)
-        p2 = forward(m, X, dropout_rate=0.4, rng=np.random.default_rng(99),
-                     training=False)
-        assert np.array_equal(p1, p2)
-
 
 class TestDropout:
     RATE = 0.4
@@ -126,9 +117,8 @@ class TestDropout:
         m = init_model(3, 256, 5, seed=0)
         m = m.like(m.buf.astype(dtype))
         X = np.random.default_rng(1).random((128, 3))
-        _, _, masks = _forward_cached(m, X.astype(dtype), rate,
-                                      np.random.default_rng(seed), True,
-                                      Workspace(m, 128))
+        _, _, masks = _forward_cached(m, X.astype(dtype), Workspace(m, 128),
+                                      rate, np.random.default_rng(seed))
         return masks[:2]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
