@@ -25,7 +25,8 @@ from .data import (Dataset, ParseError, PreprocessPipeline, PublicSet,
                    select_columns, shard_clients, split_indices,
                    split_private_public)
 from .features import select_union
-from .fedsim import ClientShard, derive_seed, openblas_threads, run_fl
+from .fedsim import (ClientShard, derive_seed, openblas_threads, peak_rss_mb,
+                     run_fl)
 from .metrics import confusion, per_class_metrics
 from .mimic import STUDENT_INIT_POLICIES, MimicClient, run_fsml, run_ftml
 from .modelio import ModelFormatError, load_model, save_model
@@ -208,32 +209,8 @@ def blas_build() -> dict:
     return {"name": blas.get("name"), "version": blas.get("version")}
 
 
-def peak_rss_mb() -> float | None:
-    """This process's own peak resident set (VmHWM), None without /proc.
-    getrusage is no substitute: its ru_maxrss carries over a spawning
-    parent's peak across exec."""
-    try:
-        with open("/proc/self/status") as f:
-            for line in f:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1]) / 1024.0
-    except OSError:
-        pass
-    return None
-
-
-def workers_peak_rss_mb() -> float | None:
-    """The largest peak resident set of the client worker processes this
-    process has joined (ru_maxrss of its children), None if it ran none."""
-    try:
-        import resource
-    except ImportError:  # not on this platform
-        return None
-    kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    return kb / 1024.0 if kb else None
-
-
-def environment(cfg: dict, wall_s: float) -> dict:
+def environment(cfg: dict, wall_s: float,
+                workers_peak_rss_mb: float | None) -> dict:
     """What a stage ran on and what it cost; not byte-stable across runs."""
     return {
         "numpy": np.__version__,
@@ -245,16 +222,16 @@ def environment(cfg: dict, wall_s: float) -> dict:
         "blas_pinnable": openblas_threads() is not None,
         "wall_s": round(wall_s, 3),
         "peak_rss_mb": peak_rss_mb(),
-        "workers_peak_rss_mb": workers_peak_rss_mb(),
+        "workers_peak_rss_mb": workers_peak_rss_mb,
     }
 
 
 def write_runmeta(out_dir: Path, cfg: dict, artifacts: list[Path],
-                  wall_s: float):
+                  wall_s: float, workers_peak_rss_mb: float | None = None):
     meta = {
         "config": {k: v for k, v in sorted(cfg.items())},
         "artifacts": {p.name: _sha256(p) for p in artifacts if p.exists()},
-        "environment": environment(cfg, wall_s),
+        "environment": environment(cfg, wall_s, workers_peak_rss_mb),
     }
     (out_dir / "runmeta.json").write_text(json.dumps(meta, indent=1,
                                                      sort_keys=True))
@@ -298,7 +275,12 @@ def read_split(cfg: dict, train_path: Path, test_path: Path | None):
     return corpus.take(tr), y[tr], corpus.take(te), y[te]
 
 
-def cmd_prep(cfg: dict) -> tuple[list[Path], list[str]]:
+# what a stage wrote, its summary lines, and the largest peak memory (MB) of
+# its client worker processes, None when it started none
+StageResult = tuple[list[Path], list[str], float | None]
+
+
+def cmd_prep(cfg: dict) -> StageResult:
     out_dir = Path(cfg["out_dir"])
     # checked here, created only once the inputs have parsed, so that a
     # failed prep leaves no empty directory behind
@@ -354,7 +336,7 @@ def cmd_prep(cfg: dict) -> tuple[list[Path], list[str]]:
                 for name, count in class_counts(train_y).items()]
     return [out_dir / n for n in ("pipeline.json", "manifest.json",
                                   "train_X.npy", "train_y.npy",
-                                  "test_X.npy", "test_y.npy")], summary
+                                  "test_X.npy", "test_y.npy")], summary, None
 
 
 def _read_split(out_dir: Path, name: str, columns: int) -> Dataset:
@@ -383,14 +365,16 @@ def _read_split(out_dir: Path, name: str, columns: int) -> Dataset:
     return Dataset(X, y)
 
 
-def load_prep(out_dir: Path, selected: bool = True):
-    """(pipeline, train, test), both splits cut to the feature mask if there is
-    one and cast to float32, the dtype models train and predict in.
-    ``selected=False`` is the select stage's input: the float64 training split
-    on every expanded column and no test split (None). A damaged artifact
-    raises ParseError naming it."""
-    needed = ["pipeline.json", "train_X.npy", "train_y.npy", "test_X.npy",
-              "test_y.npy"]
+def load_prep(out_dir: Path, splits: tuple[str, ...] = ("train", "test"),
+              selected: bool = True):
+    """(pipeline, train, test) for the named ``splits``, a split not named
+    None. Each is cut to the feature mask if there is one and cast to
+    float32, the dtype models train and predict in. ``selected=False``
+    leaves the float64 matrix on every expanded column: the select stage's
+    input. A missing artifact raises MissingPrep (exit 3), a damaged one
+    ParseError naming it (exit 5)."""
+    needed = ["pipeline.json", *(f"{name}_{part}.npy" for name in splits
+                                 for part in "Xy")]
     missing = [n for n in needed if not (out_dir / n).exists()]
     if missing:
         raise MissingPrep(f"prep artifacts missing from {out_dir}: {missing} "
@@ -400,25 +384,25 @@ def load_prep(out_dir: Path, selected: bool = True):
         pipeline = PreprocessPipeline.from_json(path.read_text())
     except ValueError as e:  # JSON and Unicode decoding errors included
         raise ParseError(f"{path}: {e}") from None
-    dim = pipeline.expanded_dim
-    train = _read_split(out_dir, "train", dim)
-    if not selected:
-        return pipeline, train, None
-    test = _read_split(out_dir, "test", dim)
-    mask = pipeline.feature_mask
-    if mask:
-        try:
-            train = Dataset(select_columns(train.X, mask), train.y)
-            test = Dataset(select_columns(test.X, mask), test.y)
-        except ValueError as e:  # out of range or out of order
-            raise ParseError(f"{path}: {e}") from None
-    return (pipeline, Dataset(train.X.astype(np.float32), train.y),
-            Dataset(test.X.astype(np.float32), test.y))
+    loaded = {}
+    for name in splits:
+        split = _read_split(out_dir, name, pipeline.expanded_dim)
+        if selected:
+            if pipeline.feature_mask:
+                try:
+                    split = Dataset(select_columns(split.X,
+                                                   pipeline.feature_mask),
+                                    split.y)
+                except ValueError as e:  # out of range or out of order
+                    raise ParseError(f"{path}: {e}") from None
+            split = Dataset(split.X.astype(np.float32), split.y)
+        loaded[name] = split
+    return pipeline, loaded.get("train"), loaded.get("test")
 
 
-def cmd_select(cfg: dict) -> tuple[list[Path], list[str]]:
+def cmd_select(cfg: dict) -> StageResult:
     out_dir = Path(cfg["out_dir"])
-    pipeline, train, _ = load_prep(out_dir, selected=False)
+    pipeline, train, _ = load_prep(out_dir, ("train",), selected=False)
     ranking = select_union(train.X, train.y, k=cfg["k_features"],
                            step=cfg["rfe_step"])
     pipeline.feature_mask = ranking.union_mask
@@ -426,7 +410,7 @@ def cmd_select(cfg: dict) -> tuple[list[Path], list[str]]:
     (out_dir / "pipeline.json").write_text(pipeline.to_json())
     return [out_dir / "pipeline.json"], [
         f"select: union mask has {len(ranking.union_mask)} of "
-        f"{pipeline.expanded_dim} features"]
+        f"{pipeline.expanded_dim} features"], None
 
 
 def build_mimic_clients(train: Dataset, cfg: dict) -> list[MimicClient]:
@@ -462,7 +446,7 @@ def build_mimic_clients(train: Dataset, cfg: dict) -> list[MimicClient]:
     return clients
 
 
-def cmd_train(cfg: dict) -> tuple[list[Path], list[str]]:
+def cmd_train(cfg: dict) -> StageResult:
     out_dir = Path(cfg["out_dir"])
     _, train, test = load_prep(out_dir)
     tc = train_config(cfg)
@@ -496,7 +480,8 @@ def cmd_train(cfg: dict) -> tuple[list[Path], list[str]]:
     return [out_dir / n for n in ("model.fmim", "history.csv", "report.txt",
                                   "report.csv", "report.json",
                                   "pipeline.json")], [
-        f"{mode}: overall test accuracy {report.overall_accuracy:.2f}%"]
+        f"{mode}: overall test accuracy {report.overall_accuracy:.2f}%"], \
+        history.workers_peak_rss_mb
 
 
 def accuracy_series(hist_path: Path) -> str:
@@ -517,14 +502,14 @@ def accuracy_series(hist_path: Path) -> str:
     return "\n".join(series) + "\n"
 
 
-def cmd_eval(cfg: dict) -> tuple[list[Path], list[str]]:
+def cmd_eval(cfg: dict) -> StageResult:
     out_dir = Path(cfg["out_dir"])
     model_path = input_file(cfg["model_file"] or out_dir / "model.fmim",
                             "model file")
     hist_path = (input_file(cfg["history_file"], "history file")
                  if cfg["history_file"] else None)
     model, _ = load_model(model_path)
-    _, _, test = load_prep(out_dir)
+    _, _, test = load_prep(out_dir, ("test",))
     if model.input_dim != test.X.shape[1]:
         raise ModelFormatError(f"model expects {model.input_dim} features, "
                                f"test matrix has {test.X.shape[1]}")
@@ -540,7 +525,7 @@ def cmd_eval(cfg: dict) -> tuple[list[Path], list[str]]:
         (out_dir / "accuracy_series.csv").write_text(series)
         artifacts.append(out_dir / "accuracy_series.csv")
     return artifacts, [
-        f"eval: overall test accuracy {report.overall_accuracy:.2f}%"]
+        f"eval: overall test accuracy {report.overall_accuracy:.2f}%"], None
 
 
 def print_summary(lines: list[str]) -> None:
@@ -566,9 +551,10 @@ def main(argv=None) -> int:
     commands = {"prep": cmd_prep, "select": cmd_select, "eval": cmd_eval}
     try:
         cfg = resolve_config(args)
-        artifacts, summary = commands.get(cfg["mode"], cmd_train)(cfg)
+        artifacts, summary, workers_peak = commands.get(
+            cfg["mode"], cmd_train)(cfg)
         write_runmeta(Path(cfg["out_dir"]), cfg, artifacts,
-                      time.perf_counter() - start)
+                      time.perf_counter() - start, workers_peak)
         print_summary(summary)
         return EXIT_OK
     except (MissingInput, FileNotFoundError) as e:

@@ -49,6 +49,9 @@ class RoundRecord:
 @dataclass
 class RoundHistory:
     rounds: list[RoundRecord] = field(default_factory=list)
+    # the largest peak resident set (MB) the client worker processes
+    # reported, None when the rounds ran in this process
+    workers_peak_rss_mb: float | None = None
 
     def to_csv(self) -> str:
         if not self.rounds:
@@ -127,6 +130,20 @@ def openblas_threads():
     return None
 
 
+def peak_rss_mb() -> float | None:
+    """This process's own peak resident set (VmHWM), None without /proc.
+    getrusage is no substitute: its ru_maxrss carries over a spawning
+    parent's peak across exec."""
+    try:
+        with open("/proc/self/status") as f:
+            for line in f:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return None
+
+
 @functools.cache  # so that it prints once per process
 def _warn_blas_unpinned():
     print("warning: no OpenBLAS thread control found; client workers run "
@@ -156,7 +173,8 @@ class _RemoteTraceback(Exception):
 def _serve(conn, step, clients):
     """A worker's loop: for each ``(i, global_model, rnd, prev)`` received,
     ``step(global_model, clients[i], rnd, prev)`` sent back, or its failure.
-    Stops on None, or when the main process is gone."""
+    Stops on None, after sending back its peak_rss_mb(), or when the main
+    process is gone."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the main process handles ^C
     controls = openblas_threads()
     if controls is not None:
@@ -167,6 +185,7 @@ def _serve(conn, step, clients):
         except EOFError:
             return
         if msg is None:
+            conn.send(peak_rss_mb())
             return
         i, global_model, rnd, prev = msg
         try:
@@ -189,6 +208,7 @@ class _ClientWorkers:
         ctx = multiprocessing.get_context("fork")
         self.size = len(clients)
         self.conns, self.procs = [], []
+        self.peak_rss_mb = None  # the largest a stopped worker reported
         try:
             for _ in range(n):
                 here, there = ctx.Pipe()
@@ -240,14 +260,22 @@ class _ClientWorkers:
         return results
 
     def close(self, stop: bool = True):
-        """Ends the workers: each leaves its loop on ``stop``, else (the main
-        process is unwinding from an error) it is terminated."""
+        """Ends the workers: each leaves its loop on ``stop`` and reports its
+        peak memory, else (the main process is unwinding from an error) it
+        is terminated."""
+        peaks = []
         for conn, proc in zip(self.conns, self.procs):
             if stop:
                 conn.send(None)
+                try:
+                    peaks.append(conn.recv())
+                except EOFError:  # gone after its last client: no report
+                    pass
             else:
                 proc.terminate()
             conn.close()
+        self.peak_rss_mb = max((p for p in peaks if p is not None),
+                               default=None)
         for proc in self.procs:
             proc.join()
 
@@ -317,6 +345,8 @@ def run_rounds(clients: list, step, test: Dataset, rounds: int, seed: int,
                 pseudo_agreement=(None if pseudo[0] is None
                                   else pseudo_label_agreement(list(pseudo))),
             ))
+    if workers > 1:
+        history.workers_peak_rss_mb = pool.peak_rss_mb
     return global_model, history
 
 

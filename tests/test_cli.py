@@ -215,8 +215,9 @@ class TestSelect:
         assert "'k_features'" in proc.stderr
 
 
-def _damage(out: Path, case: str) -> str:
-    """Damages one prep artifact in ``out`` and returns its name."""
+def _damage(out: Path, case: str, split: str = "train") -> str:
+    """Damages one prep artifact in ``out`` and returns its name. A damage
+    of an array hits ``split``'s file unless its case names the split."""
     def edit_npy(name, change):
         np.save(out / name, change(np.load(out / name)))
         return name
@@ -228,34 +229,37 @@ def _damage(out: Path, case: str) -> str:
         return "pipeline.json"
 
     if case == "y_shorter_than_X":
-        return edit_npy("train_y.npy", lambda y: y[:-1])
+        return edit_npy(f"{split}_y.npy", lambda y: y[:-1])
     if case == "no_feature_mask":
         return edit_pipeline(lambda doc: doc.pop("feature_mask"))
     if case == "mask_out_of_range":
         return edit_pipeline(lambda doc: doc["feature_mask"].append(10 ** 6))
     if case == "X_all_nan":
-        return edit_npy("train_X.npy", lambda X: np.full_like(X, np.nan))
+        return edit_npy(f"{split}_X.npy", lambda X: np.full_like(X, np.nan))
     if case == "X_missing_a_column":
         return edit_npy("test_X.npy", lambda X: X[:, 1:])
     if case in ("train_label_9", "test_label_9"):
         return edit_npy(f"{case[:-8]}_y.npy",
                         lambda y: np.where(np.arange(len(y)) == 3, 9, y))
     if case == "float_labels":
-        return edit_npy("train_y.npy", lambda y: y.astype(np.float64))
+        return edit_npy(f"{split}_y.npy", lambda y: y.astype(np.float64))
     if case == "truncated_npy":
-        data = (out / "train_X.npy").read_bytes()
-        (out / "train_X.npy").write_bytes(data[:len(data) // 2])
-        return "train_X.npy"
+        data = (out / f"{split}_X.npy").read_bytes()
+        (out / f"{split}_X.npy").write_bytes(data[:len(data) // 2])
+        return f"{split}_X.npy"
     if case == "object_npy":
-        np.save(out / "train_y.npy", np.array([0, "x", None], dtype=object))
-        return "train_y.npy"
+        np.save(out / f"{split}_y.npy", np.array([0, "x", None], dtype=object))
+        return f"{split}_y.npy"
     assert case == "unparsable_pipeline"
     (out / "pipeline.json").write_text('{"vocabs": ')
     return "pipeline.json"
 
 
-DAMAGES = ["y_shorter_than_X", "no_feature_mask", "X_all_nan",
-           "train_label_9", "float_labels", "truncated_npy", "object_npy",
+# array damages hit the training split, except in eval, which reads only
+# pipeline.json and the test split: there they hit the test split
+ARRAY_DAMAGES = ["y_shorter_than_X", "X_all_nan", "float_labels",
+                 "truncated_npy", "object_npy"]
+DAMAGES = [*ARRAY_DAMAGES, "no_feature_mask", "train_label_9",
            "unparsable_pipeline"]
 # select reads no test split and replaces the feature mask, so these damages
 # show only in fl and eval
@@ -265,15 +269,15 @@ MASK_AND_TEST_DAMAGES = ["mask_out_of_range", "X_missing_a_column",
 
 class TestDamagedPrep:
     @pytest.mark.parametrize("mode,case", [
-        *((mode, case) for mode in ("select", "fl", "eval")
-          for case in DAMAGES),
+        *((mode, case) for mode in ("select", "fl") for case in DAMAGES),
+        *(("eval", case) for case in DAMAGES if case != "train_label_9"),
         *((mode, case) for mode in ("fl", "eval")
           for case in MASK_AND_TEST_DAMAGES)])
     def test_exit_5_naming_the_file(self, workdir, capsys, mode, case):
         from fedmimic.nn import init_model
         width = load_prep(workdir)[1].X.shape[1]
         save_model(init_model(width, 3, 5, seed=0), workdir / "model.fmim")
-        name = _damage(workdir, case)
+        name = _damage(workdir, case, "test" if mode == "eval" else "train")
         capsys.readouterr()
         argv = ["--mode", mode, "--out-dir", str(workdir)]
         assert main(argv + (TRAIN_FLAGS if mode == "fl" else [])) == 5
@@ -282,6 +286,26 @@ class TestDamagedPrep:
         assert "\n" not in err
         assert not (workdir / "report.json").exists()
         assert not (workdir / "eval_report.json").exists()
+
+    @pytest.mark.parametrize("case", [*ARRAY_DAMAGES, "train_label_9"])
+    def test_eval_reads_no_train_split(self, workdir, case):
+        from fedmimic.nn import init_model
+        width = load_prep(workdir)[1].X.shape[1]
+        save_model(init_model(width, 3, 5, seed=0), workdir / "model.fmim")
+        assert _damage(workdir, case).startswith("train_")
+        assert main(["--mode", "eval", "--out-dir", str(workdir)]) == 0
+        for ext in ("txt", "csv", "json"):
+            assert (workdir / f"eval_report.{ext}").exists()
+
+    def test_eval_without_train_split(self, workdir):
+        from fedmimic.nn import init_model
+        width = load_prep(workdir)[1].X.shape[1]
+        save_model(init_model(width, 3, 5, seed=0), workdir / "model.fmim")
+        (workdir / "train_X.npy").unlink()
+        (workdir / "train_y.npy").unlink()
+        assert main(["--mode", "eval", "--out-dir", str(workdir)]) == 0
+        assert main(["--mode", "fl", "--out-dir", str(workdir)]
+                    + TRAIN_FLAGS) == 3
 
 
 class TestTrainModes:
@@ -409,6 +433,30 @@ class TestTrainModes:
         else:
             assert env["peak_rss_mb"] is None
         assert 1 < env["workers_peak_rss_mb"] < 4096  # 2 workers joined
+
+    def test_no_workers_peak_when_clients_train_in_process(self, workdir):
+        assert main(["--mode", "fl", "--out-dir", str(workdir), "--threads",
+                     "1"] + TRAIN_FLAGS) == 0
+        env = json.loads((workdir / "runmeta.json").read_text())["environment"]
+        assert env["workers_peak_rss_mb"] is None
+
+    @pytest.mark.skipif(not Path("/bin/sh").exists(),
+                        reason="needs a POSIX shell")
+    def test_no_workers_peak_after_a_child_reaped_before_exec(self, workdir):
+        """A shell that ran a child before it exec'd the CLI leaves that
+        child's peak in the CLI's RUSAGE_CHILDREN; select starts no worker
+        and still records null."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(__file__).parents[1] / "src"),
+             os.environ.get("PYTHONPATH", "")]))
+        script = ('"$0" -c pass; exec "$0" -m fedmimic.cli --mode select '
+                  '--out-dir "$1" --k-features 3 --rfe-step 25')
+        proc = subprocess.run(["/bin/sh", "-c", script, sys.executable,
+                               str(workdir)], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        meta = json.loads((workdir / "runmeta.json").read_text())
+        assert meta["environment"]["workers_peak_rss_mb"] is None
 
     def test_threads_default_is_the_usable_cpus(self):
         cfg = resolve_config(build_parser().parse_args(["--mode", "fl"]))

@@ -7,7 +7,13 @@ from fedmimic.data import (AttackClass, apply_pipeline, fit_pipeline,
 from fedmimic.features import (FeatureRanking, fit_logreg,
                                inverse_frequency_weights, rfe, select_union)
 
+from fedmimic.fedsim import openblas_threads
+
 from conftest import make_kdd_lines
+
+# a block budget under which the tests' 400-row matrices run in five or more
+# blocks of fit_logreg's products, the last one ragged
+SMALL_BLOCK_BYTES = 4096
 
 
 def informative_matrix(n=300, noise_cols=8, seed=0):
@@ -252,3 +258,109 @@ class TestSelectUnionOracle:
         X, y = self._imbalanced()
         with pytest.raises(ValueError):
             select_union(X, y, k=k, step=1)
+
+
+class TestSelectUnionOracleInBlocks(TestSelectUnionOracle):
+    """The oracle tests again, every fit run in SMALL_BLOCK_BYTES blocks."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(features, "BLOCK_BYTES", SMALL_BLOCK_BYTES)
+
+    @pytest.mark.parametrize("corpus", ["imbalanced", "one_hot"])
+    @pytest.mark.parametrize("itemsize", [4, 8])
+    def test_first_fit_crosses_ragged_blocks(self, corpus, itemsize):
+        if corpus == "imbalanced":
+            X, _ = self._imbalanced()
+        else:
+            records = parse_records(make_kdd_lines(n=400, seed=0))
+            X = apply_pipeline(fit_pipeline(records), records)
+        rows = features._block_rows(X.shape[1], itemsize)
+        assert len(X) // rows >= 5 and len(X) % rows
+
+
+def five_target_problem(n=400, d=18, seed=7):
+    """(X, Y, sample weights, mask) of a class-balanced five-target fit
+    whose mask drops a few columns of two targets."""
+    rng = np.random.default_rng(seed)
+    y = rng.choice(5, n, p=[0.5, 0.3, 0.15, 0.04, 0.01])
+    X = rng.random((n, d))
+    for c in range(5):
+        X[:, 3 * c] += 0.8 * (y == c)
+    Y = np.stack([y == c for c in range(5)], axis=1).astype(float)
+    sw = np.stack([inverse_frequency_weights(t) for t in Y.T], axis=1)
+    mask = np.ones((5, d))
+    mask[1, :4] = mask[3, 10:] = 0
+    return X, Y, sw, mask
+
+
+class TestBlockedFit:
+    def fit(self, monkeypatch, budget, X, Y, sw, mask):
+        monkeypatch.setattr(features, "BLOCK_BYTES", budget)
+        return fit_logreg(X, Y, sample_weights=sw, mask=mask)
+
+    # float32 sums in block order move the last bits of the weights, whose
+    # magnitudes reach about 2.2 here: measured up to 2.4e-7 (one ulp)
+    @pytest.mark.parametrize("dtype,rtol,atol", [
+        (np.float64, 1e-12, 1e-15), (np.float32, 1e-5, 1e-6)])
+    def test_blocked_equals_one_block(self, monkeypatch, dtype, rtol, atol):
+        X, Y, sw, mask = five_target_problem()
+        X = X.astype(dtype)
+        one = self.fit(monkeypatch, 1 << 30, X, Y, sw, mask)
+        blocked = self.fit(monkeypatch, SMALL_BLOCK_BYTES, X, Y, sw, mask)
+        rows = features._block_rows(X.shape[1], X.itemsize)
+        assert len(X) // rows >= 5 and len(X) % rows
+        assert blocked.weights.dtype == dtype
+        assert (blocked.weights[mask == 0] == 0).all()
+        np.testing.assert_allclose(blocked.weights, one.weights, rtol=rtol,
+                                   atol=atol)
+        np.testing.assert_allclose(blocked.bias, one.bias, rtol=rtol,
+                                   atol=atol)
+
+    @pytest.mark.parametrize("n", [1, 3, 55, 56])
+    def test_fewer_samples_than_one_block(self, monkeypatch, n):
+        """Up to 56 float32 rows of 18 columns fit in one 4 KB block: the
+        products are the one-call products, bit for bit."""
+        X, Y, sw, mask = five_target_problem(n=n)
+        X = X.astype(np.float32)
+        blocked = self.fit(monkeypatch, SMALL_BLOCK_BYTES, X, Y, sw, mask)
+        assert features._block_rows(X.shape[1], 4) == 56
+        one = self.fit(monkeypatch, 1 << 30, X, Y, sw, mask)
+        assert np.array_equal(blocked.weights, one.weights)
+        assert np.array_equal(blocked.bias, one.bias)
+
+    def test_one_sample_past_a_block(self, monkeypatch):
+        X, Y, sw, mask = five_target_problem(n=57)
+        X = X.astype(np.float32)
+        blocked = self.fit(monkeypatch, SMALL_BLOCK_BYTES, X, Y, sw, mask)
+        assert features._block_rows(X.shape[1], 4) == 56
+        one = self.fit(monkeypatch, 1 << 30, X, Y, sw, mask)
+        assert (blocked.weights[mask == 0] == 0).all()
+        np.testing.assert_allclose(blocked.weights, one.weights, rtol=1e-5,
+                                   atol=1e-6)
+
+
+def test_lists_independent_of_blas_threads():
+    """select_union picks the same lists at one and at two BLAS threads, on
+    a matrix of three blocks of the default budget whose products are large
+    enough for OpenBLAS to split."""
+    controls = openblas_threads()
+    if controls is None:
+        pytest.skip("no OpenBLAS thread control in this numpy build")
+    get, set_ = controls
+    rng = np.random.default_rng(3)
+    n, d = 10_000, 30
+    y = rng.choice(5, n, p=[0.4, 0.3, 0.2, 0.07, 0.03])
+    X = rng.random((n, d))
+    for c in range(5):
+        X[:, 2 * c] += 0.5 * (y == c)
+    assert n // features._block_rows(d, 4) == 2
+    before = get()
+    lists = []
+    try:
+        for threads in (1, 2):
+            set_(threads)
+            lists.append(select_union(X, y, k=10, step=10).per_class)
+    finally:
+        set_(before)
+    assert lists[0] == lists[1]
