@@ -25,7 +25,8 @@ from .data import (Dataset, ParseError, PreprocessPipeline, PublicSet,
                    select_columns, shard_clients, split_indices,
                    split_private_public)
 from .features import select_union
-from .fedsim import (ClientShard, derive_seed, openblas_threads, peak_rss_mb,
+from .fedsim import (TAG_MIMIC_POOL, TAG_PRIVATE_PUBLIC, TAG_PRIVATE_SHARDS,
+                     ClientShard, derive_seed, openblas_threads, peak_rss_mb,
                      run_fl)
 from .metrics import confusion, per_class_metrics
 from .mimic import STUDENT_INIT_POLICIES, MimicClient, run_fsml, run_ftml
@@ -341,8 +342,8 @@ def cmd_prep(cfg: dict) -> StageResult:
 
 def _read_split(out_dir: Path, name: str, columns: int) -> Dataset:
     """One prep split, ``<name>_X.npy`` and ``<name>_y.npy``, checked: X a
-    finite float matrix of ``columns`` columns, y one class index (0-4) per
-    row of X. Anything else raises ParseError naming the file (exit 5)."""
+    finite float32 matrix of ``columns`` columns, y one class index (0-4)
+    per row of X. Anything else raises ParseError naming the file (exit 5)."""
     x_path, y_path = out_dir / f"{name}_X.npy", out_dir / f"{name}_y.npy"
     arrays = []
     for path in (x_path, y_path):
@@ -351,9 +352,12 @@ def _read_split(out_dir: Path, name: str, columns: int) -> Dataset:
         except (ValueError, OSError, EOFError) as e:
             raise ParseError(f"{path}: unreadable array ({e})") from None
     X, y = arrays
-    if X.ndim != 2 or X.shape[1] != columns or X.dtype.kind != "f":
+    if X.dtype == np.float64:
+        raise ParseError(f"{x_path}: float64 matrix from an older prep; run "
+                         f"--mode prep again")
+    if X.ndim != 2 or X.shape[1] != columns or X.dtype != np.float32:
         raise ParseError(f"{x_path}: {X.dtype} array of shape {X.shape} is "
-                         f"not a float matrix of {columns} columns")
+                         f"not a float32 matrix of {columns} columns")
     if not np.isfinite(X).all():
         raise ParseError(f"{x_path}: non-finite values")
     if y.ndim != 1 or y.dtype.kind not in "iu" or len(y) != len(X):
@@ -368,11 +372,10 @@ def _read_split(out_dir: Path, name: str, columns: int) -> Dataset:
 def load_prep(out_dir: Path, splits: tuple[str, ...] = ("train", "test"),
               selected: bool = True):
     """(pipeline, train, test) for the named ``splits``, a split not named
-    None. Each is cut to the feature mask if there is one and cast to
-    float32, the dtype models train and predict in. ``selected=False``
-    leaves the float64 matrix on every expanded column: the select stage's
-    input. A missing artifact raises MissingPrep (exit 3), a damaged one
-    ParseError naming it (exit 5)."""
+    None. Each is cut to the feature mask if there is one; ``selected=False``
+    keeps every expanded column, the select stage's input. A missing
+    artifact raises MissingPrep (exit 3), a damaged one ParseError naming it
+    (exit 5)."""
     needed = ["pipeline.json", *(f"{name}_{part}.npy" for name in splits
                                  for part in "Xy")]
     missing = [n for n in needed if not (out_dir / n).exists()]
@@ -387,15 +390,12 @@ def load_prep(out_dir: Path, splits: tuple[str, ...] = ("train", "test"),
     loaded = {}
     for name in splits:
         split = _read_split(out_dir, name, pipeline.expanded_dim)
-        if selected:
-            if pipeline.feature_mask:
-                try:
-                    split = Dataset(select_columns(split.X,
-                                                   pipeline.feature_mask),
-                                    split.y)
-                except ValueError as e:  # out of range or out of order
-                    raise ParseError(f"{path}: {e}") from None
-            split = Dataset(split.X.astype(np.float32), split.y)
+        if selected and pipeline.feature_mask:
+            try:
+                split = Dataset(select_columns(split.X, pipeline.feature_mask),
+                                split.y)
+            except ValueError as e:  # out of range or out of order
+                raise ParseError(f"{path}: {e}") from None
         loaded[name] = split
     return pipeline, loaded.get("train"), loaded.get("test")
 
@@ -414,36 +414,32 @@ def cmd_select(cfg: dict) -> StageResult:
 
 
 def build_mimic_clients(train: Dataset, cfg: dict) -> list[MimicClient]:
-    seed = cfg["seed"]
-    n_clients = cfg["clients"]
-    if cfg["mimic_full_data"]:
-        pool = train
-    else:
+    seed, n_clients = cfg["seed"], cfg["clients"]
+    pool = train
+    if not cfg["mimic_full_data"]:
         need = n_clients * cfg["samples_per_client"]
         if need > len(train):
             raise ValueError(f"mimic pool needs {need} samples, have {len(train)}")
-        idx = np.random.default_rng(derive_seed(seed, 10)).permutation(len(train))[:need]
+        rng = np.random.default_rng(derive_seed(seed, TAG_MIMIC_POOL))
+        idx = rng.permutation(len(train))[:need]
         pool = Dataset(train.X[idx], train.y[idx])
-    private, public = split_private_public(pool, cfg["private_fraction"],
-                                           derive_seed(seed, 11))
+    private, public = split_private_public(
+        pool, cfg["private_fraction"], derive_seed(seed, TAG_PRIVATE_PUBLIC))
     per_client = len(private) // n_clients
     if per_client < 1:
         raise ValueError(f"private pool too small for {n_clients} clients")
-    shards = shard_clients(private, n_clients, per_client, derive_seed(seed, 12))
-    clients = []
-    if cfg["per_user_public"]:
-        chunk = len(public) // n_clients
-        if chunk < 1:
-            raise ValueError(f"public pool too small for {n_clients} clients")
-        truth = public.truth_for_diagnostics()
-        for cid, shard in enumerate(shards):
-            sl = slice(cid * chunk, (cid + 1) * chunk)
-            clients.append(MimicClient(cid, shard,
-                                       PublicSet(public.X[sl], truth[sl])))
-    else:
-        clients = [MimicClient(cid, shard, public)
-                   for cid, shard in enumerate(shards)]
-    return clients
+    shards = shard_clients(private, n_clients, per_client,
+                           derive_seed(seed, TAG_PRIVATE_SHARDS))
+    if not cfg["per_user_public"]:
+        return [MimicClient(cid, shard, public)
+                for cid, shard in enumerate(shards)]
+    chunk = len(public) // n_clients
+    if chunk < 1:
+        raise ValueError(f"public pool too small for {n_clients} clients")
+    truth = public.truth_for_diagnostics()
+    cuts = [slice(c * chunk, (c + 1) * chunk) for c in range(n_clients)]
+    return [MimicClient(cid, shard, PublicSet(public.X[sl], truth[sl]))
+            for cid, (shard, sl) in enumerate(zip(shards, cuts))]
 
 
 def cmd_train(cfg: dict) -> StageResult:

@@ -275,8 +275,10 @@ def fit_pipeline(records: Records) -> PreprocessPipeline:
 
 
 def apply_pipeline(pipeline: PreprocessPipeline, records: Records) -> np.ndarray:
-    """Expanded feature matrix in [0,1]. Unseen nominal values become an
-    all-zero block; out-of-range numerics clip; min==max columns emit 0."""
+    """Expanded float32 feature matrix in [0,1], the dtype every later stage
+    computes in; the scaling runs in float64 and is rounded once. Unseen
+    nominal values become an all-zero block; out-of-range numerics clip;
+    min==max columns emit 0."""
     span = pipeline.maxs - pipeline.mins
     safe_span = np.where(span > 0, span, 1.0)
     scaled = np.clip((records.numeric - pipeline.mins) / safe_span, 0.0, 1.0)
@@ -286,7 +288,7 @@ def apply_pipeline(pipeline: PreprocessPipeline, records: Records) -> np.ndarray
     # the nominal features sit next to each other in file order
     first = _NOMINAL_IDX[0]
     return np.hstack([scaled[:, :first], *one_hot, scaled[:, first:]],
-                     dtype=np.float64)
+                     dtype=np.float32)
 
 
 def select_columns(matrix: np.ndarray, mask) -> np.ndarray:

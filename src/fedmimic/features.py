@@ -4,8 +4,7 @@ per-class top-k union used to mask the expanded feature matrix.
 
 RFE fits in float32, and its epochs are the stage's cost. Each epoch runs
 two products with the training matrix, the forward and the gradient, each
-as a series of BLAS calls over blocks of about BLOCK_BYTES of it. The
-prepped matrix itself stays float64."""
+as a series of BLAS calls over blocks of about BLOCK_BYTES of it."""
 
 from __future__ import annotations
 
@@ -142,7 +141,7 @@ def _eliminate(X: np.ndarray, targets: np.ndarray, target_k: int,
                step: int) -> list[list[int]]:
     """RFE for each row of the (c x n) 0/1 ``targets``, one class-balanced
     c-target fit per elimination on the columns any target still keeps. The
-    fits run in float32; fit_logreg casts the targets and weights to match."""
+    fits run in float32, prep's dtype; fit_logreg casts targets and weights."""
     X = np.asarray(X, dtype=np.float32)
     d = X.shape[1]
     if target_k > d:

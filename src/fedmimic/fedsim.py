@@ -24,6 +24,9 @@ TAG_INIT = 0
 TAG_CLIENT = 1
 TAG_TEACHER = 2
 TAG_STUDENT_INIT = 3
+TAG_MIMIC_POOL = 10      # the rows drawn into the mimic pool
+TAG_PRIVATE_PUBLIC = 11  # the pool's private/public split
+TAG_PRIVATE_SHARDS = 12  # the private rows' client shards
 
 
 def derive_seed(*parts: int) -> int:

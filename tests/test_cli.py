@@ -13,10 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmimic.cli import (MINIMUM, build_parser, load_prep, main,
-                          resolve_config, train_config, usable_cpus)
+from fedmimic.cli import (DEFAULTS, MINIMUM, build_mimic_clients,
+                          build_parser, load_prep, main, resolve_config,
+                          train_config, usable_cpus)
+from fedmimic.data import Dataset
 from fedmimic.fedsim import ClientShard, openblas_threads, run_fl
-from fedmimic.modelio import save_model
+from fedmimic.modelio import load_model, save_model
 
 from conftest import make_kdd_lines
 
@@ -243,6 +245,8 @@ def _damage(out: Path, case: str, split: str = "train") -> str:
                         lambda y: np.where(np.arange(len(y)) == 3, 9, y))
     if case == "float_labels":
         return edit_npy(f"{split}_y.npy", lambda y: y.astype(np.float64))
+    if case == "float64_X":
+        return edit_npy(f"{split}_X.npy", lambda X: X.astype(np.float64))
     if case == "truncated_npy":
         data = (out / f"{split}_X.npy").read_bytes()
         (out / f"{split}_X.npy").write_bytes(data[:len(data) // 2])
@@ -258,7 +262,7 @@ def _damage(out: Path, case: str, split: str = "train") -> str:
 # array damages hit the training split, except in eval, which reads only
 # pipeline.json and the test split: there they hit the test split
 ARRAY_DAMAGES = ["y_shorter_than_X", "X_all_nan", "float_labels",
-                 "truncated_npy", "object_npy"]
+                 "float64_X", "truncated_npy", "object_npy"]
 DAMAGES = [*ARRAY_DAMAGES, "no_feature_mask", "train_label_9",
            "unparsable_pipeline"]
 # select reads no test split and replaces the feature mask, so these damages
@@ -286,6 +290,25 @@ class TestDamagedPrep:
         assert "\n" not in err
         assert not (workdir / "report.json").exists()
         assert not (workdir / "eval_report.json").exists()
+
+    @pytest.mark.parametrize("mode,split", [
+        ("select", "train"), ("central", "train"), ("central", "test"),
+        ("eval", "test")])
+    def test_float64_matrix_from_an_older_prep_exit_5(self, workdir, capsys,
+                                                      mode, split):
+        """Prep writes float32; a float64 matrix is not cast but rejected,
+        with a line that says how to mend it."""
+        from fedmimic.nn import init_model
+        width = load_prep(workdir)[1].X.shape[1]
+        save_model(init_model(width, 3, 5, seed=0), workdir / "model.fmim")
+        assert np.load(workdir / f"{split}_X.npy").dtype == np.float32
+        name = _damage(workdir, "float64_X", split)
+        capsys.readouterr()
+        argv = ["--mode", mode, "--out-dir", str(workdir)]
+        assert main(argv + (TRAIN_FLAGS if mode == "central" else [])) == 5
+        assert capsys.readouterr().err == (
+            f"error: {workdir / name}: float64 matrix from an older prep; "
+            f"run --mode prep again\n")
 
     @pytest.mark.parametrize("case", [*ARRAY_DAMAGES, "train_label_9"])
     def test_eval_reads_no_train_split(self, workdir, case):
@@ -463,6 +486,79 @@ class TestTrainModes:
         want = (len(os.sched_getaffinity(0))
                 if hasattr(os, "sched_getaffinity") else os.cpu_count())
         assert cfg["threads"] == usable_cpus() == want
+
+
+def _row_ids(X):
+    return X[:, 0].astype(int).tolist()
+
+
+class TestMimicPool:
+    """--per-user-public and --mimic-full-data, on a training split whose
+    column 0 holds the row index and whose label is that index mod 5."""
+
+    TRAIN = Dataset(np.repeat(np.arange(100, dtype=np.float32)[:, None], 2,
+                              axis=1), np.arange(100) % 5)
+
+    def clients(self, **flags):
+        cfg = {**DEFAULTS, "seed": 5, "clients": 3, "samples_per_client": 10,
+               **flags}
+        return build_mimic_clients(self.TRAIN, cfg)
+
+    def test_per_user_public_gives_client_c_its_chunk(self):
+        shared, own = self.clients(), self.clients(per_user_public=True)
+        public = shared[0].public
+        assert all(c.public is public for c in shared)
+        chunk = len(public) // 3
+        assert chunk == 4  # 30-row pool, 12 public rows
+        for c, (mine, theirs) in enumerate(zip(own, shared)):
+            rows = slice(c * chunk, (c + 1) * chunk)
+            assert _row_ids(mine.private.X) == _row_ids(theirs.private.X)
+            assert _row_ids(mine.public.X) == _row_ids(public.X[rows])
+            truth = mine.public.truth_for_diagnostics()
+            assert truth.tolist() == public.truth_for_diagnostics()[
+                rows].tolist()
+            assert truth.tolist() == [i % 5 for i in _row_ids(mine.public.X)]
+
+    @pytest.mark.parametrize("full, pooled", [(False, 30), (True, 100)])
+    def test_mimic_full_data_pools_the_whole_split(self, full, pooled):
+        clients = self.clients(mimic_full_data=full)
+        private = [i for c in clients for i in _row_ids(c.private.X)]
+        public = _row_ids(clients[0].public.X)
+        # 60% private, split evenly over the 3 clients
+        assert (len(private), len(public)) == (pooled * 3 // 5,
+                                               pooled * 2 // 5)
+        assert len(set(private + public)) == pooled
+        if full:
+            assert set(private + public) == set(range(100))
+
+    def test_full_data_ignores_samples_per_client(self):
+        assert len(self.clients(mimic_full_data=True,
+                                samples_per_client=1000)) == 3
+        with pytest.raises(ValueError, match="mimic pool needs 3000"):
+            self.clients(samples_per_client=1000)
+
+    @pytest.mark.parametrize("flags", [
+        ["--per-user-public"], ["--mimic-full-data"],
+        ["--per-user-public", "--mimic-full-data"]])
+    def test_outputs_do_not_depend_on_threads(self, workdir, tmp_path, flags):
+        other = tmp_path / "two"
+        shutil.copytree(workdir, other)
+        for out, threads in ((workdir, "1"), (other, "2")):
+            assert main(["--mode", "ftml", "--out-dir", str(out), "--threads",
+                         threads] + flags + TRAIN_FLAGS) == 0
+        for name in ("model.fmim", "history.csv", "report.txt", "report.csv",
+                     "report.json"):
+            assert (workdir / name).read_bytes() == (other / name).read_bytes()
+
+    def test_per_user_public_with_more_clients_than_public_rows_exit_4(
+            self, workdir, capsys):
+        # 300-row pool: 180 private rows, one per client, 120 public rows
+        capsys.readouterr()
+        assert main(["--mode", "ftml", "--out-dir", str(workdir),
+                     "--per-user-public", "--clients", "150",
+                     "--samples-per-client", "2"]) == 4
+        assert capsys.readouterr().err == (
+            "error: public pool too small for 150 clients\n")
 
 
 class TestConfigFile:
@@ -671,6 +767,67 @@ class TestEval:
         save_model(init_model(3, 4, 5, seed=0), bad)
         assert main(["--mode", "eval", "--out-dir", str(workdir),
                      "--model-file", str(bad)]) == 5
+
+
+FMIM_HEADER_BYTES = 37  # a 3-layer model: magic 5 + head 5 + 3 layers x 9
+
+
+@pytest.fixture(scope="module")
+def fmim_case(prepped, tmp_path_factory):
+    """(out dir, bytes of a valid model for its test split): a copy of the
+    prepped dir and a width-6-6-5 model."""
+    from fedmimic.nn import init_model
+    out = tmp_path_factory.mktemp("fmim") / "out"
+    shutil.copytree(prepped / "out", out)
+    width = load_prep(out, ("test",))[2].X.shape[1]
+    model = init_model(width, 6, 5, seed=0)
+    save_model(model, out / "model.fmim")
+    data = (out / "model.fmim").read_bytes()
+    assert len(data) == FMIM_HEADER_BYTES + 4 * model.buf.size
+    return out, data
+
+
+def _eval_model_bytes(out: Path, data: bytes) -> tuple[int, str]:
+    """(exit code, stderr) of --mode eval on a model file holding ``data``."""
+    (out / "bad.fmim").write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["--mode", "eval", "--out-dir", str(out), "--model-file",
+                   str(out / "bad.fmim")])
+    return rc, err.getvalue()
+
+
+class TestModelFileProperties:
+    """Damaged .fmim files end in exit 5 and one error line, never in a
+    traceback (main would raise)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_any_truncation_exits_5(self, fmim_case, data):
+        out, good = fmim_case
+        cut = data.draw(st.integers(0, len(good) - 1), label="cut")
+        rc, err = _eval_model_bytes(out, good[:cut])
+        assert rc == 5
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(byte=st.integers(0, FMIM_HEADER_BYTES - 1), bit=st.integers(0, 7))
+    def test_header_bit_flip_exits_5_or_loads_chained_dims(self, fmim_case,
+                                                           byte, bit):
+        out, good = fmim_case
+        flipped = bytearray(good)
+        flipped[byte] ^= 1 << bit
+        rc, err = _eval_model_bytes(out, bytes(flipped))
+        if rc == 5:
+            assert err.startswith("error: ") and err.count("\n") == 1
+            return
+        # a flip of the loss id or of an activation id leaves a valid model
+        assert (rc, err) == (0, "")
+        model, _ = load_model(out / "bad.fmim")
+        assert all(a[1] == b[0] for a, b in zip(model.dims, model.dims[1:]))
+        assert [w.shape for w in model.weights] == [
+            (o, i) for i, o in model.dims]
+        assert model.dims[-1][1] == 5
 
 
 class TestPathKinds:
