@@ -115,7 +115,9 @@ def input_file(path, what: str) -> Path:
     """``path`` as a Path, raising MissingInput (exit 2) naming it when it
     does not exist or is a directory."""
     path = Path(path)
-    if not path.exists():
+    # os.path.exists says False for a name too long for the system, where
+    # Path.exists raises on some Python versions
+    if not os.path.exists(path):
         raise MissingInput(f"{what} not found: {path}")
     if path.is_dir():
         raise MissingInput(f"{what} is a directory: {path}")
@@ -242,7 +244,7 @@ def _resolve_dataset_path(cfg: dict, key: str, default_name: str) -> Path | None
     if cfg[key]:
         return Path(cfg[key])
     root = os.environ.get(DATA_ROOT_ENV)
-    if root and (Path(root) / default_name).exists():
+    if root and os.path.exists(Path(root) / default_name):
         return Path(root) / default_name
     return None
 
@@ -281,11 +283,27 @@ def read_split(cfg: dict, train_path: Path, test_path: Path | None):
 StageResult = tuple[list[Path], list[str], float | None]
 
 
+def _exists(path: Path) -> bool:
+    """Whether ``path`` exists. A path the system cannot look up, such as a
+    name too long for it, raises OSError (ValueError for a NUL character):
+    os.path.exists, and Path.exists on some Python versions, would say
+    False, and a later mkdir would fail."""
+    try:
+        path.stat()
+    except (FileNotFoundError, NotADirectoryError):
+        return False
+    return True
+
+
 def cmd_prep(cfg: dict) -> StageResult:
     out_dir = Path(cfg["out_dir"])
     # checked here, created only once the inputs have parsed, so that a
     # failed prep leaves no empty directory behind
-    existing = next(d for d in (out_dir, *out_dir.parents) if d.exists())
+    try:
+        existing = next(d for d in (out_dir, *out_dir.parents) if _exists(d))
+    except (OSError, ValueError) as e:
+        raise ValueError(f"--out-dir {out_dir} cannot be looked up: "
+                         f"{e}") from None
     if not existing.is_dir():
         raise ValueError(f"--out-dir {out_dir} is not a directory")
     train_path = _resolve_dataset_path(cfg, "train_file", "KDDTrain+.txt")
@@ -378,7 +396,7 @@ def load_prep(out_dir: Path, splits: tuple[str, ...] = ("train", "test"),
     (exit 5)."""
     needed = ["pipeline.json", *(f"{name}_{part}.npy" for name in splits
                                  for part in "Xy")]
-    missing = [n for n in needed if not (out_dir / n).exists()]
+    missing = [n for n in needed if not os.path.exists(out_dir / n)]
     if missing:
         raise MissingPrep(f"prep artifacts missing from {out_dir}: {missing} "
                           f"(run --mode prep first)")
@@ -538,6 +556,13 @@ def print_summary(lines: list[str]) -> None:
         os.close(devnull)
 
 
+def print_error(e: Exception) -> None:
+    """One ``error:`` line on stderr; a line break in the message, such as
+    one in a path from the config file, is escaped."""
+    text = str(e).replace("\r", "\\r").replace("\n", "\\n")
+    print(f"error: {text}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     """Runs one stage; on success runmeta.json records its config, the
     digests of the artifacts it wrote and its environment, and then the
@@ -554,16 +579,16 @@ def main(argv=None) -> int:
         print_summary(summary)
         return EXIT_OK
     except (MissingInput, FileNotFoundError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        print_error(e)
         return EXIT_MISSING_INPUT
     except MissingPrep as e:
-        print(f"error: {e}", file=sys.stderr)
+        print_error(e)
         return EXIT_MISSING_PREP
     except (ParseError, ModelFormatError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        print_error(e)
         return EXIT_FORMAT
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
+        print_error(e)
         return EXIT_BAD_CONFIG
 
 

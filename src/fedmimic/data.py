@@ -116,11 +116,36 @@ class PublicSet:
         return self._truth
 
 
+# parse_records converts numeric fields to floats this many rows at a time,
+# so the corpus is never held as one list of millions of strings
+PARSE_BLOCK_ROWS = 8192
+
+
+def _numeric_block(texts: list[str], rows: list[int]) -> np.ndarray:
+    """The (len(rows) x 39) float64 values of the numeric fields and the
+    difficulty of file rows `rows`, given as one flat list of strings.
+    Raises ParseError naming the row and field of the first string float()
+    rejects."""
+    width = NUM_NUMERIC + 1  # the difficulty rides along as a last column
+    try:
+        return np.array(texts, dtype=np.float64).reshape(-1, width)
+    except ValueError:  # float() finds the first field numpy rejected
+        for k, text in enumerate(texts):
+            try:
+                float(text)
+            except ValueError:
+                r, j = divmod(k, width)
+                name = (_NUMERIC_NAMES + ["difficulty"])[j]
+                raise ParseError(f"row {rows[r]}: field {name!r} is not "
+                                 f"numeric: {text!r}") from None
+        raise
+
+
 def parse_records(lines) -> Records:
     """Parse comma-delimited NSL-KDD rows (42 fields, or 43 with the
     difficulty score). Raises ParseError naming the 1-based row, also for a
     nan or inf feature."""
-    rows, nominal, labels, numeric = [], [], [], []
+    rows, nominal, labels, numeric, blocks = [], [], [], [], []
     for i, line in enumerate(lines, start=1):
         parts = line.strip().split(",")
         if parts == [""]:
@@ -138,19 +163,12 @@ def parse_records(lines) -> Records:
         labels.append(parts[NUM_FEATURES])
         numeric += _pick_numeric(parts)
         numeric.append(parts[-1] if len(parts) > NUM_FEATURES + 1 else "nan")
-    width = NUM_NUMERIC + 1  # the difficulty rides along as a last column
-    try:
-        values = np.array(numeric, dtype=np.float64).reshape(-1, width)
-    except ValueError:  # float() finds the first field numpy rejected
-        for k, text in enumerate(numeric):
-            try:
-                float(text)
-            except ValueError:
-                r, j = divmod(k, width)
-                name = (_NUMERIC_NAMES + ["difficulty"])[j]
-                raise ParseError(f"row {rows[r]}: field {name!r} is not "
-                                 f"numeric: {text!r}") from None
-        raise
+        if len(rows) % PARSE_BLOCK_ROWS == 0:
+            blocks.append(_numeric_block(numeric, rows[-PARSE_BLOCK_ROWS:]))
+            numeric = []
+    start = len(blocks) * PARSE_BLOCK_ROWS
+    blocks.append(_numeric_block(numeric, rows[start:]))
+    values = np.concatenate(blocks)
     bad = ~np.isfinite(values[:, :NUM_NUMERIC])
     if bad.any():
         r, k = np.argwhere(bad)[0]

@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmimic.cli import (DEFAULTS, MINIMUM, build_mimic_clients,
-                          build_parser, load_prep, main, resolve_config,
-                          train_config, usable_cpus)
-from fedmimic.data import Dataset
+from fedmimic.cli import (DATA_ROOT_ENV, DEFAULTS, MINIMUM,
+                          build_mimic_clients, build_parser, load_prep, main,
+                          resolve_config, train_config, usable_cpus)
+from fedmimic.data import (FEATURE_NAMES, NOMINAL_FEATURES, NUM_FEATURES,
+                           Dataset, load_attack_mapping)
 from fedmimic.fedsim import ClientShard, openblas_threads, run_fl
 from fedmimic.modelio import load_model, save_model
 
@@ -157,6 +158,86 @@ class TestPrep:
                      "train_y.npy"):
             assert (out2 / name).read_bytes() == \
                    (prepped / "out" / name).read_bytes()
+
+
+def _run_main(argv) -> tuple[int, str]:
+    """(exit code, stderr) of an in-process CLI run; an exception that
+    escapes main, which would end the process in a traceback, fails the
+    test."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+CORPUS = make_kdd_lines(n=30, seed=0)
+LABEL_FIELD = NUM_FEATURES  # the difficulty follows the label
+NUMERIC_FIELDS = [j for j, name in enumerate(FEATURE_NAMES)
+                  if name not in NOMINAL_FEATURES]
+
+
+def _field_text(**kwargs):
+    """Text that stays inside one field of one line of a corpus file."""
+    return st.text(**kwargs).filter(
+        lambda t: not any(c in t for c in ",\n\r\0"))
+
+
+def _not_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+@st.composite
+def damaged_corpus(draw):
+    """(lines, 1-based row): CORPUS with one row damaged in one way."""
+    lines = list(CORPUS)
+    r = draw(st.integers(0, len(lines) - 1), label="row index")
+    fields = lines[r].split(",")
+    kind = draw(st.sampled_from(["field_count", "empty_label", "not_numeric",
+                                 "not_finite", "nul", "unknown_label"]),
+                label="damage")
+    if kind == "field_count":
+        n = draw(st.integers(1, 60).filter(lambda n: n not in (42, 43)))
+        fields = (fields + ["0"] * n)[:n]
+    elif kind == "empty_label":
+        fields[LABEL_FIELD] = ""
+    elif kind == "not_numeric":  # a feature or the difficulty
+        j = draw(st.sampled_from(NUMERIC_FIELDS + [LABEL_FIELD + 1]))
+        fields[j] = draw(_field_text().filter(_not_float))
+    elif kind == "not_finite":
+        fields[draw(st.sampled_from(NUMERIC_FIELDS))] = draw(st.sampled_from(
+            ["nan", "inf", "-inf", "NaN", "+Infinity", "1e999"]))
+    elif kind == "nul":
+        j = draw(st.integers(0, len(fields) - 1))
+        k = draw(st.integers(0, len(fields[j])))
+        fields[j] = fields[j][:k] + "\0" + fields[j][k:]
+    else:
+        known = load_attack_mapping()
+        fields[LABEL_FIELD] = draw(
+            _field_text(min_size=1).filter(lambda t: t not in known))
+    lines[r] = ",".join(fields)
+    return lines, r + 1
+
+
+class TestCorpusProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(case=damaged_corpus())
+    def test_damaged_row_exits_5_naming_file_and_row(self, tmp_path_factory,
+                                                     case):
+        lines, row = case
+        base = tmp_path_factory.mktemp("corpus")
+        train = base / "train.txt"
+        train.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rc, err = _run_main(["--mode", "prep", "--train-file", str(train),
+                             "--out-dir", str(base / "out")])
+        assert rc == 5
+        assert err.startswith(f"error: {train}: row {row}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not (base / "out").exists()
 
 
 class TestClosedStdout:
@@ -599,6 +680,14 @@ class TestConfigFile:
         meta = json.loads((workdir / "runmeta.json").read_text())
         assert meta["config"]["lr"] == 1
 
+    def test_line_break_in_a_path_stays_on_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train_file": "a\nb\rc"}))
+        assert main(["--mode", "prep", "--config", str(cfg), "--out-dir",
+                     str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: training file not found: a\\nb\\rc\n")
+
     def test_unknown_key_rejected(self, workdir, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"verbosity": 3}))
@@ -642,6 +731,60 @@ class TestConfigRanges:
                      "--rounds", "0", "--threads", "1", "--lr", "1e-9",
                      "--clients", "1", "--samples-per-client", "1",
                      "--hidden", "4", "--epochs", "1"]) == 0
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.text(min_size=250, max_size=300),  # past a file name's length
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=12)
+
+
+def _typed_value(key):
+    """JSON values of the type the config key takes."""
+    default = DEFAULTS[key]
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return st.integers()
+    if isinstance(default, float):
+        return st.floats() | st.integers()
+    return st.none() | st.text() | st.text(min_size=250, max_size=300)
+
+
+# documents of known keys, each with a value of its type, which get past
+# the type check to the checks behind it
+TYPED_CONFIGS = st.lists(
+    st.sampled_from(sorted(DEFAULTS)).flatmap(
+        lambda key: st.tuples(st.just(key), _typed_value(key))),
+    max_size=8).map(dict)
+
+
+class TestConfigProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(doc=JSON_VALUES | TYPED_CONFIGS
+           | st.dictionaries(st.sampled_from(sorted(DEFAULTS)) | st.text(),
+                             JSON_VALUES, max_size=8))
+    def test_random_json_config_exits_with_one_error_line(
+            self, tmp_path_factory, doc):
+        base = tmp_path_factory.mktemp("config")
+        cfg = base / "cfg.json"
+        cfg.write_text(json.dumps(doc))  # NaN/Infinity are JSON here
+        cwd = base / "cwd"
+        cwd.mkdir()
+        old_cwd, data_root = os.getcwd(), os.environ.pop(DATA_ROOT_ENV, None)
+        os.chdir(cwd)
+        try:
+            rc, err = _run_main(["--mode", "prep", "--config", str(cfg)])
+        finally:
+            os.chdir(old_cwd)
+            if data_root is not None:
+                os.environ[DATA_ROOT_ENV] = data_root
+        assert rc in (2, 4, 5)
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(cwd.iterdir()) == []
+        assert sorted(p.name for p in base.iterdir()) == ["cfg.json", "cwd"]
 
 
 class TestEval:
@@ -770,6 +913,7 @@ class TestEval:
 
 
 FMIM_HEADER_BYTES = 37  # a 3-layer model: magic 5 + head 5 + 3 layers x 9
+FMIM_LOSS_ID_BYTE = 9   # after the magic and the uint32 layer count
 
 
 @pytest.fixture(scope="module")
@@ -790,11 +934,8 @@ def fmim_case(prepped, tmp_path_factory):
 def _eval_model_bytes(out: Path, data: bytes) -> tuple[int, str]:
     """(exit code, stderr) of --mode eval on a model file holding ``data``."""
     (out / "bad.fmim").write_bytes(data)
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        rc = main(["--mode", "eval", "--out-dir", str(out), "--model-file",
-                   str(out / "bad.fmim")])
-    return rc, err.getvalue()
+    return _run_main(["--mode", "eval", "--out-dir", str(out),
+                      "--model-file", str(out / "bad.fmim")])
 
 
 class TestModelFileProperties:
@@ -810,24 +951,45 @@ class TestModelFileProperties:
         assert rc == 5
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @settings(max_examples=300, deadline=None)
-    @given(byte=st.integers(0, FMIM_HEADER_BYTES - 1), bit=st.integers(0, 7))
-    def test_header_bit_flip_exits_5_or_loads_chained_dims(self, fmim_case,
-                                                           byte, bit):
+    def test_header_bit_flip_exits_5_or_loads_chained_dims(self, fmim_case):
+        # every single-bit flip of the header, each on its own
         out, good = fmim_case
+        loaded = []
+        for byte in range(FMIM_HEADER_BYTES):
+            for bit in range(8):
+                flipped = bytearray(good)
+                flipped[byte] ^= 1 << bit
+                rc, err = _eval_model_bytes(out, bytes(flipped))
+                if rc == 0:
+                    assert err == ""
+                    loaded.append((byte, bit))
+                else:
+                    assert rc == 5, (byte, bit)
+                    assert err.startswith("error: ") and err.count("\n") == 1
+        # only the loss id's low bit (mae -> xent, which eval does not use)
+        # leaves a valid model: the activation ids are fixed by position
+        assert loaded == [(FMIM_LOSS_ID_BYTE, 0)]
         flipped = bytearray(good)
-        flipped[byte] ^= 1 << bit
-        rc, err = _eval_model_bytes(out, bytes(flipped))
-        if rc == 5:
-            assert err.startswith("error: ") and err.count("\n") == 1
-            return
-        # a flip of the loss id or of an activation id leaves a valid model
-        assert (rc, err) == (0, "")
-        model, _ = load_model(out / "bad.fmim")
+        flipped[FMIM_LOSS_ID_BYTE] ^= 1
+        (out / "bad.fmim").write_bytes(bytes(flipped))
+        model, loss_kind = load_model(out / "bad.fmim")
+        assert loss_kind == "xent"
         assert all(a[1] == b[0] for a, b in zip(model.dims, model.dims[1:]))
         assert [w.shape for w in model.weights] == [
             (o, i) for i, o in model.dims]
         assert model.dims[-1][1] == 5
+
+    @pytest.mark.parametrize("layer, act", [(0, 1), (1, 1), (2, 0), (2, 2)])
+    def test_activation_id_off_its_position_exits_5(self, fmim_case, layer,
+                                                    act):
+        out, good = fmim_case
+        damaged = bytearray(good)
+        damaged[FMIM_LOSS_ID_BYTE + 1 + 9 * layer + 8] = act
+        rc, err = _eval_model_bytes(out, bytes(damaged))
+        assert rc == 5
+        assert err == (f"error: layer {layer} of {out / 'bad.fmim'} has "
+                       f"activation id {act}, expected "
+                       f"{1 if layer == 2 else 0}\n")
 
 
 class TestPathKinds:
@@ -856,6 +1018,26 @@ class TestPathKinds:
         err = capsys.readouterr().err.strip()
         assert err == f"error: {what} is a directory: {folder}"
         assert not (workdir / "eval_report.json").exists()
+
+    @pytest.mark.parametrize("mode, flag, code, what", [
+        ("prep", "--train-file", 2, "error: training file not found: "),
+        ("prep", "--out-dir", 4, "error: --out-dir "),
+        ("select", "--out-dir", 3, "error: prep artifacts missing from "),
+        ("fl", "--out-dir", 3, "error: prep artifacts missing from "),
+    ])
+    def test_name_too_long_for_the_system(self, prepped, tmp_path, capsys,
+                                          mode, flag, code, what):
+        long_name = tmp_path / ("a" * 300)  # NAME_MAX is 255 on Linux
+        argv = {"--out-dir": str(tmp_path / "o")}
+        if mode == "prep":
+            argv["--train-file"] = str(prepped / "train.txt")
+        argv[flag] = str(long_name)
+        capsys.readouterr()
+        assert main(["--mode", mode] + [a for kv in argv.items()
+                                        for a in kv]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(what) and err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
 
     def test_prep_out_dir_naming_a_file_exit_4(self, prepped, tmp_path,
                                                capsys):

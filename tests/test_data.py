@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedmimic import data as data_module
 from fedmimic.data import (FEATURE_NAMES, NOMINAL_FEATURES, AttackClass,
                            Dataset, ParseError, PreprocessPipeline,
                            UnknownLabelError, apply_pipeline, class_counts,
@@ -74,6 +75,29 @@ class TestParse:
         recs = parse_records([row])
         assert len(recs) == 1
         assert np.isnan(recs.difficulty[0])
+
+    def test_blocked_conversion(self, monkeypatch):
+        # 11 rows and a blank line in blocks of 4 rows: two whole blocks and
+        # a ragged one, the same values as one block
+        lines = make_kdd_lines(n=11, seed=0)
+        lines.insert(2, "")
+        whole = parse_records(lines)
+        monkeypatch.setattr(data_module, "PARSE_BLOCK_ROWS", 4)
+        blocked = parse_records(lines)
+        assert np.array_equal(blocked.rows, whole.rows)
+        assert np.array_equal(blocked.numeric, whole.numeric)
+        assert np.array_equal(blocked.difficulty, whole.difficulty)
+        # the first bad field in row order names its own file row: in the
+        # ragged last block (rows 10-12), then in the second block (rows
+        # 6-9) with the later one still there
+        for row, field, name in ((11, 4, "src_bytes"), (7, 0, "duration")):
+            parts = lines[row - 1].split(",")
+            parts[field] = "x"
+            lines[row - 1] = ",".join(parts)
+            with pytest.raises(ParseError, match=f"^row {row}: field "
+                                                 f"'{name}' is not numeric: "
+                                                 f"'x'$"):
+                parse_records(lines)
 
 
 def label_of(raw_label, mapping=None):

@@ -19,7 +19,7 @@ from test_nn import models_equal
 
 
 def scalar_model(w):
-    m = ModelParams([(1, 1)], [1])
+    m = ModelParams([(1, 1)])
     m.weights[0][0, 0] = w
     return m
 

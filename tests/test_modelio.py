@@ -29,7 +29,7 @@ def test_loaded_model_predicts_like_saved(tmp_path):
     # float32 storage: probabilities agree to storage precision
     assert np.abs(forward(m, X) - forward(loaded, X)).max() < 1e-5
     assert [w.shape for w in loaded.weights] == [w.shape for w in m.weights]
-    assert loaded.activations == m.activations
+    assert loaded.dims == m.dims
 
 
 def test_round_trip_is_float32_rounding(tmp_path):

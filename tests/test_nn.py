@@ -4,7 +4,7 @@ import pytest
 from fedmimic.nn import (AdamState, ModelParams, TrainConfig, adam_step,
                          backward, forward, init_model, loss, predict,
                          to_one_hot, train_local)
-from fedmimic.nn import Workspace, _forward_cached
+from fedmimic.nn import _forward_cached
 
 from conftest import toy_separable
 
@@ -57,11 +57,11 @@ class TestFlatLayout:
 
     def test_wrong_buffer_size_rejected(self):
         with pytest.raises(ValueError):
-            ModelParams([(2, 3)], [1], np.zeros(8))
+            ModelParams([(2, 3)], np.zeros(8))
 
     def test_check_finite_passes_huge_finite_parameters(self):
         # the sum of squares overflows, so the exact scan decides
-        m = ModelParams([(1, 1)], [1], np.array([3e38, 3e38], np.float32))
+        m = ModelParams([(1, 1)], np.array([3e38, 3e38], np.float32))
         m.check_finite()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -90,8 +90,7 @@ class TestForward:
         m = init_model(2, 2, 5, seed=0)
         m.weights[0][:] = np.eye(2)
         m.biases[0][:] = 0.0
-        _, post, _ = _forward_cached(m, np.array([[-1.0, 2.0]]),
-                                     Workspace(m, 1))
+        _, post, _ = _forward_cached(m, np.array([[-1.0, 2.0]]))
         assert np.array_equal(post[1], [[0.0, 2.0]])
 
     def test_rows_sum_to_one(self):
@@ -117,8 +116,8 @@ class TestDropout:
         m = init_model(3, 256, 5, seed=0)
         m = m.like(m.buf.astype(dtype))
         X = np.random.default_rng(1).random((128, 3))
-        _, _, masks = _forward_cached(m, X.astype(dtype), Workspace(m, 128),
-                                      rate, np.random.default_rng(seed))
+        _, _, masks = _forward_cached(m, X.astype(dtype), rate,
+                                      np.random.default_rng(seed))
         return masks[:2]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -224,7 +223,7 @@ class TestBackward:
 
 class TestAdamStep:
     def _scalar_model(self, w=1.0):
-        m = ModelParams([(1, 1)], [1])
+        m = ModelParams([(1, 1)])
         m.weights[0][0, 0] = w
         return m
 
@@ -258,7 +257,7 @@ class TestAdamStep:
         cfg = TrainConfig()
         lr, b1, b2, eps = (cfg.learning_rate, cfg.beta1, cfg.beta2,
                            cfg.epsilon)
-        m = ModelParams([(6, 8), (8, 5)], [0, 1], np.zeros(101, dtype))
+        m = ModelParams([(6, 8), (8, 5)], np.zeros(101, dtype))
         state = AdamState.zeros_like(m)
         rng = np.random.default_rng(0)
         for t in range(1, 201):
@@ -310,12 +309,27 @@ class TestAdamStep:
             adam_step(m, g, AdamState.zeros_like(m), TrainConfig())
 
 
+def record_matmul(mp) -> list:
+    """Patch np.matmul through the MonkeyPatch ``mp`` to record every array
+    it returns. In one backward those are, per layer, the forward output
+    and the weight gradient, and the error back-propagated to each hidden
+    layer, as they stand after the in-place updates that follow."""
+    results, matmul = [], np.matmul
+
+    def spy(*args, **kwargs):
+        results.append(matmul(*args, **kwargs))
+        return results[-1]
+    mp.setattr(np, "matmul", spy)
+    return results
+
+
 class TestDtype:
     """Arithmetic stays in the parameter vector's dtype: nothing a step
     allocates or returns is silently upcast."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_every_array_keeps_the_model_dtype(self, dtype, tmp_path):
+    def test_every_array_keeps_the_model_dtype(self, dtype, tmp_path,
+                                               monkeypatch):
         from fedmimic.fedsim import fedavg
         from fedmimic.modelio import load_model, save_model
         m = init_model(4, 8, 5, seed=0)
@@ -327,12 +341,17 @@ class TestDtype:
         assert trained.buf.dtype == dtype and np.isfinite(losses).all()
         assert all(a.dtype == dtype for a in trained.weights + trained.biases)
 
-        work = Workspace(m, 16)
-        grad, probs = backward(m, X[:16], to_one_hot(y[:16], 5), cfg,
-                               np.random.default_rng(0), work)
+        with monkeypatch.context() as mp:
+            products = record_matmul(mp)
+            grad, probs = backward(m, X[:16], to_one_hot(y[:16], 5), cfg,
+                                   np.random.default_rng(0))
+        assert len(products) == 3 + 3 + 2
+        _, post, masks = _forward_cached(m, X[:16].astype(dtype),
+                                         cfg.dropout_rate,
+                                         np.random.default_rng(0))
+        assert len(masks) == 2
         assert grad.dtype == probs.dtype == dtype
-        assert all(a.dtype == dtype
-                   for a in [work.grad, *work.post, *work.masks, *work.errors])
+        assert all(a.dtype == dtype for a in [*products, *post, *masks])
         state = AdamState.zeros_like(m)
         adam_step(m, grad, state, cfg)
         assert m.buf.dtype == dtype
@@ -348,18 +367,23 @@ class TestDtype:
             assert np.array_equal(loaded.buf.view(np.uint32),
                                   trained.buf.view(np.uint32))
 
-    def test_saturated_backward_computes_no_subnormals(self):
+    def test_saturated_backward_computes_no_subnormals(self, monkeypatch):
         # softmax flushes probabilities below 1e-12 to 0; their deltas would
         # be float32 subnormals, whose arithmetic is many times slower
         m = init_model(4, 16, 5, seed=0)
         m.weights[2][:] *= 100  # logit gaps in the hundreds
         X = np.random.default_rng(1).random((64, 4))
         T = to_one_hot(np.random.default_rng(2).integers(0, 5, 64), 5)
-        work = Workspace(m, 64)
-        grad, probs = backward(m, X, T, TrainConfig(dropout_rate=0.0),
-                               work=work)
+        with monkeypatch.context() as mp:
+            products = record_matmul(mp)
+            grad, probs = backward(m, X, T, TrainConfig(dropout_rate=0.0))
+        # after the three layer outputs come, from the last layer down, its
+        # weight gradient and then the error back-propagated below it
+        errors = products[4:7:2]
+        assert len(products) == 8
+        assert [e.shape for e in errors] == [(64, 16), (64, 16)]
         tiny = np.finfo(np.float32).tiny
-        for a in (probs, grad, *work.errors[:2]):
+        for a in (probs, grad, *products):
             assert not ((a != 0) & (np.abs(a) < tiny)).any()
         assert (probs == 0).any()
         assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-6
@@ -367,7 +391,7 @@ class TestDtype:
     @pytest.mark.parametrize("dtype", [np.float16, np.int64, np.complex128])
     def test_other_dtypes_rejected(self, dtype):
         with pytest.raises(ValueError):
-            ModelParams([(2, 3)], [1], np.zeros(9, dtype))
+            ModelParams([(2, 3)], np.zeros(9, dtype))
 
 
 class TestTrainLocal:
