@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -21,7 +22,7 @@ import numpy as np
 from . import data as D
 from .data import (Dataset, ParseError, PreprocessPipeline, PublicSet,
                    Records, apply_pipeline, class_counts, fit_pipeline,
-                   load_attack_mapping, map_labels, parse_records,
+                   load_attack_mapping, map_labels, parse_records, read_text,
                    select_columns, shard_clients, split_indices,
                    split_private_public)
 from .features import select_union
@@ -75,7 +76,7 @@ DEFAULTS = {
     "rfe_step": 5,
     "private_fraction": 0.6,
     "student_init": "warm",
-    "threads": usable_cpus(),  # fedsim.run_rounds caps it at the clients
+    "threads": usable_cpus(),  # fedsim._client_map caps it at the clients
     "hidden": 256,
     "test_fraction": 0.1,
     "official_split": False,
@@ -146,7 +147,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
     cfg = dict(DEFAULTS)
     if args.config:
         path = input_file(args.config, "config file")
-        file_cfg = json.loads(path.read_text())
+        try:
+            file_cfg = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as e:  # not UTF-8, or not JSON
+            raise ValueError(f"config file {path}: {e}") from None
         if not isinstance(file_cfg, dict):
             raise ValueError(f"config file {path} must hold a JSON object")
         for key, val in file_cfg.items():
@@ -250,14 +254,30 @@ def _resolve_dataset_path(cfg: dict, key: str, default_name: str) -> Path | None
 
 
 def read_labelled(path: Path, mapping: dict) -> tuple[Records, np.ndarray]:
-    """The records of one corpus file and their classes; a parse or label
-    error names the file."""
+    """The records of one corpus file, read as UTF-8, and their classes. A
+    parse or label error, a byte that does not decode and a file with no
+    records raise ParseError naming the file."""
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             records = parse_records(f)
+        if not len(records):
+            raise ParseError("no records")
         return records, map_labels(records, mapping)
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: {_first_undecodable(path)}") from None
     except ParseError as e:
         raise type(e)(f"{path}: {e}") from None
+
+
+def _first_undecodable(path: Path) -> str:
+    """``row N: byte 0xXX is not UTF-8`` for the first such byte of a file
+    that holds one, its rows numbered as parse_records numbers them."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        for i, line in enumerate(f, start=1):
+            bad = re.search("[\udc80-\udcff]", line)
+            if bad:
+                return (f"row {i}: byte 0x{ord(bad[0]) - 0xdc00:02x} is not "
+                        f"UTF-8")
 
 
 def read_split(cfg: dict, train_path: Path, test_path: Path | None):
@@ -268,7 +288,7 @@ def read_split(cfg: dict, train_path: Path, test_path: Path | None):
         else None)
     files = [read_labelled(p, mapping) for p in (train_path, test_path) if p]
     if cfg["official_split"]:
-        if len(files) < 2 or not len(files[1][0]):
+        if len(files) < 2:
             raise MissingInput("--official-split requires --test-file")
         (train, train_y), (test, test_y) = files
         return train, train_y, test, test_y
@@ -501,7 +521,7 @@ def cmd_train(cfg: dict) -> StageResult:
 def accuracy_series(hist_path: Path) -> str:
     """The round,test_accuracy columns of a history.csv. A missing header or a
     row of another field count raises ParseError naming file and line."""
-    lines = hist_path.read_text().splitlines()
+    lines = read_text(hist_path).splitlines()
     cols = lines[0].split(",") if lines else []
     if "round" not in cols or "test_accuracy" not in cols:
         raise ParseError(f"{hist_path} line 1: no round,test_accuracy header")

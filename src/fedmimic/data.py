@@ -179,14 +179,23 @@ def parse_records(lines) -> Records:
                    values[:, NUM_NUMERIC], np.array(rows, dtype=np.int64))
 
 
+def read_text(path) -> str:
+    """A text file's contents, read as UTF-8; a byte that does not decode
+    raises ParseError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: {e}") from None
+
+
 def load_attack_mapping(path=None) -> dict[str, AttackClass]:
     """attack_name -> AttackClass from a two-column TAB file; defaults to the
     mapping shipped with the package."""
     if path is None:
         text = (resources.files("fedmimic") / "data/attack_classes.tsv").read_text()
     else:
-        with open(path) as f:
-            text = f.read()
+        text = read_text(path)
     mapping = {}
     for i, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

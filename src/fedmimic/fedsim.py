@@ -1,7 +1,8 @@
 """Simulated federated learning: client shards, federated averaging, the
-round loop every regime shares, and plain FL. No transport, no stragglers;
-clients may train in parallel worker processes but results are
-scheduling-invariant (per-client seeds, id-ordered averaging)."""
+round loop every regime shares, the one context manager that runs client
+steps in this process or in forked worker processes, and plain FL. No
+transport, no stragglers; results do not depend on where the steps ran
+(per-client seeds, id-ordered averaging)."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import functools
 import signal
 import sys
 import traceback
-from contextlib import ExitStack
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -198,40 +199,41 @@ def _serve(conn, step, clients):
         conn.send(reply)
 
 
-class _ClientWorkers:
-    """``n`` worker processes forked for one ``run_rounds`` call. Each round,
-    a worker that finishes a client takes the next one in client order, so
-    a worker on a busier CPU takes fewer. Each worker holds BLAS at one
-    thread; this process leaves its own count alone."""
+@contextmanager
+def _client_map(step, clients: list, threads: int):
+    """Yields ``(map, peaks)``. ``map(global_model, rnd, prevs)`` returns
+    every client's ``step(global_model, client, rnd, prev)`` in client order,
+    or raises the first failing client's exception in that order, as the
+    serial loop would; ``peaks`` gets the workers' peak memory (MB) on a
+    clean exit, and stays empty when none ran.
 
-    def __init__(self, step, clients: list, n: int):
+    With ``threads`` > 1 the steps run in up to ``threads`` worker processes
+    forked once for all rounds (processes, because client threads would hand
+    numpy's GIL back and forth thousands of times a fit). A worker that
+    finishes a client takes the next in order, so one on a busier CPU takes
+    fewer. Workers hold BLAS at one thread, this process keeps its count;
+    any error, one while starting them included, terminates them."""
+    n, peaks = min(threads, len(clients)), []
+    if n > 1:
         # imported here, so that a stage that never forks does not load it
         import multiprocessing.connection
-        self.wait = multiprocessing.connection.wait
-        ctx = multiprocessing.get_context("fork")
-        self.size = len(clients)
-        self.conns, self.procs = [], []
-        self.peak_rss_mb = None  # the largest a stopped worker reported
-        try:
-            for _ in range(n):
-                here, there = ctx.Pipe()
-                proc = ctx.Process(target=_serve, daemon=True,
-                                   args=(there, step, clients))
-                proc.start()
-                there.close()
-                self.conns.append(here)
-                self.procs.append(proc)
-        except BaseException:
-            self.close(stop=False)
-            raise
+        if "fork" not in multiprocessing.get_all_start_methods():
+            _warn_no_fork()
+            n = 1
+    if n <= 1:
+        yield (lambda global_model, rnd, prevs: [
+            step(global_model, c, rnd, prev)
+            for c, prev in zip(clients, prevs)]), peaks
+        return
+    if openblas_threads() is None:
+        _warn_blas_unpinned()
+    ctx = multiprocessing.get_context("fork")
+    workers = {}  # connection -> process
 
-    def map(self, global_model: ModelParams, rnd: int, prevs: list) -> list:
-        """Every client's step result, in client order. A failure raises
-        the exception of the first failing client in that order, as the
-        serial loop would: clients start in order, so every client before
-        a failing one has run."""
-        results, failures = [None] * self.size, {}
-        todo = iter(range(self.size))
+    def map_workers(global_model, rnd, prevs):
+        # clients start in order, so every client before a failing one runs
+        results, failures = [None] * len(clients), {}
+        todo = iter(range(len(clients)))
         running = {}  # connection -> client position
 
         def hand_out(conn):
@@ -240,15 +242,15 @@ class _ClientWorkers:
                 conn.send((i, global_model, rnd, prevs[i]))
                 running[conn] = i
 
-        for conn in self.conns:
+        for conn in workers:
             hand_out(conn)
         while running:
-            for conn in self.wait(list(running)):
+            for conn in multiprocessing.connection.wait(list(running)):
                 i = running.pop(conn)
                 try:
                     reply = conn.recv()
                 except EOFError:
-                    proc = self.procs[self.conns.index(conn)]
+                    proc = workers[conn]
                     proc.join()
                     raise RuntimeError(f"a client worker process exited "
                                        f"(code {proc.exitcode})") from None
@@ -262,31 +264,29 @@ class _ClientWorkers:
             raise first.exc from _RemoteTraceback(first.tb)
         return results
 
-    def close(self, stop: bool = True):
-        """Ends the workers: each leaves its loop on ``stop`` and reports its
-        peak memory, else (the main process is unwinding from an error) it
-        is terminated."""
-        peaks = []
-        for conn, proc in zip(self.conns, self.procs):
-            if stop:
-                conn.send(None)
-                try:
-                    peaks.append(conn.recv())
-                except EOFError:  # gone after its last client: no report
-                    pass
-            else:
-                proc.terminate()
+    try:
+        for _ in range(n):
+            here, there = ctx.Pipe()
+            proc = ctx.Process(target=_serve, daemon=True,
+                               args=(there, step, clients))
+            proc.start()
+            there.close()
+            workers[here] = proc
+        yield map_workers, peaks
+        for conn in workers:
+            conn.send(None)
+            try:
+                peaks.append(conn.recv())
+            except EOFError:  # gone after its last client: no report
+                pass
+    except BaseException:
+        for proc in workers.values():
+            proc.terminate()
+        raise
+    finally:
+        for conn, proc in workers.items():
             conn.close()
-        self.peak_rss_mb = max((p for p in peaks if p is not None),
-                               default=None)
-        for proc in self.procs:
             proc.join()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.close(stop=exc_type is None)
 
 
 def sort_clients(clients: list) -> list:
@@ -311,29 +311,13 @@ def run_rounds(clients: list, step, test: Dataset, rounds: int, seed: int,
     client's step returned the round before (None in round 0), so a step
     keeps no state of its own.
 
-    With ``threads`` > 1 the steps run in ``min(threads, len(clients))``
-    worker processes forked once for all rounds (see ``_ClientWorkers``):
-    processes, not threads, because client threads would hand numpy's GIL
-    back and forth thousands of times a fit."""
+    ``threads`` caps the worker processes the steps run in (see
+    ``_client_map``); ``history.workers_peak_rss_mb`` is the largest peak
+    memory they reported, None when no worker ran."""
     global_model = init_model(test.X.shape[1], hidden,
                               seed=derive_seed(seed, TAG_INIT))
     history = RoundHistory()
-    workers = min(threads, len(clients))
-    if workers > 1:
-        import multiprocessing
-        if "fork" not in multiprocessing.get_all_start_methods():
-            _warn_no_fork()
-            workers = 1
-    if workers > 1 and openblas_threads() is None:
-        _warn_blas_unpinned()
-    with ExitStack() as stack:
-        if workers > 1:
-            pool = stack.enter_context(_ClientWorkers(step, clients, workers))
-            map_clients = pool.map
-        else:
-            def map_clients(model, rnd, prevs):
-                return [step(model, c, rnd, prev)
-                        for c, prev in zip(clients, prevs)]
+    with _client_map(step, clients, threads) as (map_clients, peaks):
         results = [None] * len(clients)
         for rnd in range(rounds):
             results = map_clients(global_model, rnd, results)
@@ -348,8 +332,8 @@ def run_rounds(clients: list, step, test: Dataset, rounds: int, seed: int,
                 pseudo_agreement=(None if pseudo[0] is None
                                   else pseudo_label_agreement(list(pseudo))),
             ))
-    if workers > 1:
-        history.workers_peak_rss_mb = pool.peak_rss_mb
+    history.workers_peak_rss_mb = max((p for p in peaks if p is not None),
+                                      default=None)
     return global_model, history
 
 

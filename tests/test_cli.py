@@ -20,6 +20,7 @@ from fedmimic.data import (FEATURE_NAMES, NOMINAL_FEATURES, NUM_FEATURES,
                            Dataset, load_attack_mapping)
 from fedmimic.fedsim import ClientShard, openblas_threads, run_fl
 from fedmimic.modelio import load_model, save_model
+from fedmimic.nn import init_model
 
 from conftest import make_kdd_lines
 
@@ -238,6 +239,134 @@ class TestCorpusProperties:
         assert err.startswith(f"error: {train}: row {row}: ")
         assert err.count("\n") == 1 and err.endswith("\n")
         assert not (base / "out").exists()
+
+
+class TestTextInputs:
+    """Text inputs are read as UTF-8 in any locale. A byte that does not
+    decode is a format error naming the file, in the config file a
+    configuration error."""
+
+    @pytest.mark.parametrize("flag, code, message", [
+        ("--train-file", 5, "{bad}: row 4: byte 0xff is not UTF-8"),
+        ("--attack-map", 5, "{bad}: 'utf-8' codec can't decode byte 0xff"),
+        ("--config", 4, "config file {bad}: 'utf-8' codec can't decode"),
+    ], ids=["corpus", "attack_map", "config"])
+    def test_undecodable_byte_names_the_file(self, tmp_path, flag, code,
+                                             message):
+        rows = [line.encode() for line in CORPUS]
+        rows[3] = rows[3].replace(b",", b",\xff", 1)
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"\n".join({
+            "--train-file": rows,
+            "--attack-map": [b"normal\tNormal", b"\xff\tDoS"],
+            "--config": [b'{"seed": 1,', b'"lr": "\xff"}'],
+        }[flag]) + b"\n")
+        train = tmp_path / "train.txt"
+        train.write_text("\n".join(CORPUS) + "\n")
+        files = {"--train-file": train, flag: bad}
+        rc, err = _run_main(["--mode", "prep", "--out-dir", str(tmp_path / "o"),
+                             *(a for f, p in files.items()
+                               for a in (f, str(p)))])
+        assert rc == code
+        assert err.startswith("error: " + message.format(bad=bad))
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_undecodable_history_file_exit_5(self, workdir, tmp_path):
+        _, _, test = load_prep(workdir, ("test",))
+        model = tmp_path / "m.fmim"
+        save_model(init_model(test.X.shape[1], 3, seed=0), model)
+        hist = tmp_path / "history.csv"
+        hist.write_bytes(b"round,test_accuracy\n0,5\xff.0\n")
+        rc, err = _run_main(["--mode", "eval", "--out-dir", str(workdir),
+                             "--model-file", str(model),
+                             "--history-file", str(hist)])
+        assert rc == 5
+        assert err.startswith(f"error: {hist}: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
+        assert not (workdir / "eval_report.json").exists()
+
+    def test_utf8_label_under_an_ascii_locale(self, tmp_path):
+        """A label outside ASCII, mapped in --attack-map, preps where the
+        locale's encoding is ASCII."""
+        lines = list(CORPUS)
+        fields = lines[2].split(",")
+        fields[LABEL_FIELD] = "naïve"
+        lines[2] = ",".join(fields)
+        train = tmp_path / "train.txt"
+        train.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        amap = tmp_path / "map.tsv"
+        amap.write_text("".join(f"{name}\t{cls.name}\n" for name, cls in
+                                load_attack_mapping().items())
+                        + "naïve\tProbe\n", encoding="utf-8")
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0",
+                   PYTHONUTF8="0", PYTHONPATH=os.pathsep.join(
+                       [str(Path(__file__).parents[1] / "src"),
+                        os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedmimic.cli", "--mode", "prep",
+             "--train-file", str(train), "--attack-map", str(amap),
+             "--out-dir", str(out)], capture_output=True, text=True,
+            env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["n_train"] + manifest["n_test"] == len(CORPUS)
+
+
+class TestSplitFiles:
+    """--train-file and --test-file: with --official-split used as they are,
+    else pooled and split again; a file with no records is a format error."""
+
+    @pytest.fixture
+    def files(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(DATA_ROOT_ENV, raising=False)
+        train, test = tmp_path / "train.txt", tmp_path / "test.txt"
+        train.write_text("\n".join(CORPUS) + "\n")
+        test.write_text("\n".join(make_kdd_lines(n=12, seed=5)) + "\n")
+        return train, test
+
+    def test_official_split_without_test_file_exit_2(self, files, tmp_path):
+        rc, err = _run_main(["--mode", "prep", "--official-split",
+                             "--train-file", str(files[0]),
+                             "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert err == "error: --official-split requires --test-file\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_official_split_uses_the_files_as_they_are(self, files,
+                                                       tmp_path):
+        train, test = files
+        out = tmp_path / "o"
+        assert main(["--mode", "prep", "--official-split", "--train-file",
+                     str(train), "--test-file", str(test),
+                     "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["n_train"], manifest["n_test"]) == (len(CORPUS), 12)
+        mapping = load_attack_mapping()
+        for path, name in ((train, "train"), (test, "test")):
+            labels = [line.split(",")[LABEL_FIELD]
+                      for line in path.read_text().splitlines()]
+            assert np.load(out / f"{name}_y.npy").tolist() == [
+                int(mapping[label]) for label in labels]
+
+    @pytest.mark.parametrize("official", [False, True],
+                             ids=["resplit", "official"])
+    @pytest.mark.parametrize("empty, text", [
+        ("train", ""), ("train", "\n  \n\n"), ("test", "")],
+        ids=["empty_train", "blank_train", "empty_test"])
+    def test_file_with_no_records_exit_5(self, files, tmp_path, official,
+                                         empty, text):
+        train, test = files
+        path = {"train": train, "test": test}[empty]
+        path.write_text(text)
+        rc, err = _run_main(["--mode", "prep", "--train-file", str(train),
+                             "--test-file", str(test),
+                             "--out-dir", str(tmp_path / "o")]
+                            + ["--official-split"] * official)
+        assert rc == 5
+        assert err == f"error: {path}: no records\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestClosedStdout:

@@ -288,6 +288,25 @@ class TestClientPool:
         assert time.monotonic() - start < 15
         assert multiprocessing.active_children() == []
 
+    def test_a_worker_that_fails_to_start_raises(self, monkeypatch):
+        from multiprocessing.context import ForkProcess
+        start, calls = ForkProcess.start, []
+
+        def second_start_fails(proc):
+            calls.append(proc)
+            if len(calls) == 2:
+                raise OSError("cannot fork")
+            start(proc)
+
+        def step(global_model, client, rnd, prev):
+            return global_model.copy(), [0.0], None
+
+        monkeypatch.setattr(ForkProcess, "start", second_start_fails)
+        with pytest.raises(OSError, match="cannot fork"):
+            self.rounds(step, threads=3)
+        assert len(calls) == 2
+        assert multiprocessing.active_children() == []
+
 
 def test_history_csv_round_trip_fields():
     history = RoundHistory([
