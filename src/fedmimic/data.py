@@ -191,10 +191,13 @@ def read_text(path) -> str:
 
 def load_attack_mapping(path=None) -> dict[str, AttackClass]:
     """attack_name -> AttackClass from a two-column TAB file; defaults to the
-    mapping shipped with the package."""
+    mapping shipped with the package. A format error raises ParseError
+    naming the file and its 1-based line."""
     if path is None:
+        source = "shipped attack_classes.tsv"
         text = (resources.files("fedmimic") / "data/attack_classes.tsv").read_text()
     else:
+        source = path
         text = read_text(path)
     mapping = {}
     for i, line in enumerate(text.splitlines(), start=1):
@@ -203,13 +206,14 @@ def load_attack_mapping(path=None) -> dict[str, AttackClass]:
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise ParseError(f"mapping line {i}: expected 2 TAB-separated "
+            raise ParseError(f"{source}: line {i}: expected 2 TAB-separated "
                              f"columns, got {len(parts)}")
         name, cls = parts
         try:
             mapping[name] = AttackClass[cls]
         except KeyError:
-            raise ParseError(f"mapping line {i}: unknown class name {cls!r}") from None
+            raise ParseError(f"{source}: line {i}: unknown class name "
+                             f"{cls!r}") from None
     return mapping
 
 

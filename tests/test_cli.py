@@ -313,6 +313,24 @@ class TestTextInputs:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["n_train"] + manifest["n_test"] == len(CORPUS)
 
+    @pytest.mark.parametrize("line, message", [
+        ("neptune", "expected 2 TAB-separated columns, got 1"),
+        ("neptune\tDoS\tx", "expected 2 TAB-separated columns, got 3"),
+        ("neptune\tMartian", "unknown class name 'Martian'"),
+    ], ids=["no_tab", "three_columns", "unknown_class"])
+    def test_attack_map_format_error_names_the_file(self, tmp_path, line,
+                                                    message):
+        amap = tmp_path / "map.tsv"
+        amap.write_text(f"normal\tNormal\n{line}\n", encoding="utf-8")
+        train = tmp_path / "train.txt"
+        train.write_text("\n".join(CORPUS) + "\n")
+        rc, err = _run_main(["--mode", "prep", "--train-file", str(train),
+                             "--attack-map", str(amap),
+                             "--out-dir", str(tmp_path / "o")])
+        assert rc == 5
+        assert err == f"error: {amap}: line 2: {message}\n"
+        assert not (tmp_path / "o").exists()
+
 
 class TestSplitFiles:
     """--train-file and --test-file: with --official-split used as they are,

@@ -71,6 +71,29 @@ class TestLogReg:
         with pytest.raises(ValueError):
             fit_logreg(np.ones((5, 2)), np.zeros(4, dtype=int))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("targets", [1, 2])
+    def test_start_continues_a_fit(self, dtype, targets):
+        """30 epochs, then 20 from their weights and bias, are the 50
+        epochs of one fit, bit for bit, from a model or a pair."""
+        X, y, _ = informative_matrix()
+        X = X.astype(dtype)
+        if targets == 2:
+            y = np.stack([y, 1 - y], axis=1)
+        whole = fit_logreg(X, y, epochs=50)
+        first = fit_logreg(X, y, epochs=30)
+        kept = first.weights.copy()
+        for start in (first, (first.weights, first.bias)):
+            rest = fit_logreg(X, y, epochs=20, start=start)
+            assert np.array_equal(rest.weights, whole.weights)
+            assert np.array_equal(rest.bias, whole.bias)
+        assert np.array_equal(first.weights, kept)
+
+    def test_start_of_the_wrong_size_rejected(self):
+        X, y, _ = informative_matrix()
+        with pytest.raises(ValueError):
+            fit_logreg(X, y, start=(np.zeros(X.shape[1] + 1), 0.0))
+
     @pytest.mark.parametrize("dtype,want", [
         (np.float32, np.float32), (np.float64, np.float64),
         (np.int64, np.float64)])
@@ -177,16 +200,20 @@ class TestSelectUnion:
         assert FeatureRanking.from_per_class(per_class).union_mask == [1, 2, 3]
 
 
-def reference_rfe(X, y, target_k, step, lr=0.1, epochs=200):
-    """Oracle: the single-target fit-and-drop loop that select_union ran once
-    per class before the classes were eliminated together, in float64."""
+def reference_rfe(X, y, target_k, step, lr=0.1, epochs=200, warm=True):
+    """Oracle: the single-target fit-and-drop loop of one class, in float64.
+    Warm, as select_union runs it: the first fit runs ``epochs`` from zero,
+    and each later fit runs features.REFIT_EPOCHS from the last fit's
+    weights, the dropped ones deleted, and its bias. Cold: every fit runs
+    ``epochs`` from zero."""
     sw = inverse_frequency_weights(y)
     sw = sw / sw.sum()
     remaining = list(range(X.shape[1]))
+    w, b = np.zeros(len(remaining)), 0.0
+    fit_epochs = epochs
     while len(remaining) > target_k:
         Xr = X[:, remaining]
-        w, b = np.zeros(len(remaining)), 0.0
-        for _ in range(epochs):
+        for _ in range(fit_epochs):
             p = 1.0 / (1.0 + np.exp(-np.clip(Xr @ w + b, -60.0, 60.0)))
             err = (p - y) * sw
             w -= lr * (Xr.T @ err)
@@ -195,6 +222,11 @@ def reference_rfe(X, y, target_k, step, lr=0.1, epochs=200):
         order = np.argsort(np.abs(w), kind="stable")
         for pos in sorted(order[:drop], reverse=True):
             remaining.pop(int(pos))
+        if warm:
+            w = np.delete(w, order[:drop])
+            fit_epochs = features.REFIT_EPOCHS
+        else:
+            w, b = np.zeros(len(remaining)), 0.0
     return remaining
 
 
@@ -258,6 +290,44 @@ class TestSelectUnionOracle:
         X, y = self._imbalanced()
         with pytest.raises(ValueError):
             select_union(X, y, k=k, step=1)
+
+
+class TestWarmStart:
+    def test_each_refit_starts_from_the_last_fit(self, monkeypatch):
+        X, y = TestSelectUnionOracle()._imbalanced()
+        index = {X[:, j].astype(np.float32).tobytes(): j
+                 for j in range(X.shape[1])}
+        fits = []
+
+        def spy(X, *args, epochs=200, start=None, **kwargs):
+            model = fit_logreg(X, *args, epochs=epochs, start=start, **kwargs)
+            union = [index[col.tobytes()] for col in X.T]
+            fits.append((union, kwargs["mask"], epochs, start, model))
+            return model
+
+        monkeypatch.setattr(features, "fit_logreg", spy)
+        select_union(X, y, k=3, step=4)    # fits at 18, 14, 10 and 6 left
+        C = features.REFIT_EPOCHS
+        assert [epochs for _, _, epochs, _, _ in fits] == [200, C, C, C]
+        assert fits[0][3] is None          # fit_logreg starts at zero
+        for (union0, _, _, _, last), (union, mask, _, start, _) in zip(
+                fits, fits[1:]):
+            weights, bias = start
+            assert set(union) <= set(union0)
+            on_union = last.weights[:, [union0.index(j) for j in union]]
+            assert np.array_equal(weights[mask], on_union[mask])
+            assert (weights[~mask] == 0).all() and (~mask).any()
+            assert np.array_equal(bias, last.bias)
+
+    @pytest.mark.parametrize("k", [3, 8])
+    def test_one_elimination_equals_float64_cold_loop(self, k):
+        X, y = TestSelectUnionOracle()._imbalanced()
+        step = X.shape[1] - k
+        ranking = select_union(X, y, k=k, step=step)
+        for cls in AttackClass:
+            target = (y == cls).astype(np.int64)
+            assert ranking.per_class[cls.name] == reference_rfe(
+                X, target, k, step, warm=False), cls.name
 
 
 class TestSelectUnionOracleInBlocks(TestSelectUnionOracle):
