@@ -86,8 +86,8 @@ DEFAULTS = {
 }
 
 # lowest allowed value of each range-checked count; lr is checked on its own
-MINIMUM = {"rounds": 0, "clients": 1, "samples_per_client": 1, "threads": 1,
-           "k_features": 1, "rfe_step": 1}
+MINIMUM = {"seed": 0, "rounds": 0, "clients": 1, "samples_per_client": 1,
+           "threads": 1, "k_features": 1, "rfe_step": 1}
 CHOICES = {"loss": ("mae", "xent"), "student_init": STUDENT_INIT_POLICIES}
 FLAG_HELP = {
     "config": "JSON config file; flags override it",
@@ -125,9 +125,18 @@ def input_file(path, what: str) -> Path:
     return path
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a command-line error as ValueError (exit 4), instead of
+    printing the usage and exiting 2, the code of a missing input file."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """``--mode`` plus one flag per DEFAULTS key, typed like its default."""
-    p = argparse.ArgumentParser(
+    """``--mode`` plus one flag per DEFAULTS key, typed like its default;
+    check_ranges checks the values."""
+    p = _Parser(
         prog="fedmimic",
         description="NSL-KDD federated mimic-learning training harness")
     p.add_argument("--mode", required=True, choices=MODES)
@@ -137,8 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, action="store_true", default=None, help=help_)
         else:
             kind = type(default) if isinstance(default, (int, float)) else str
-            p.add_argument(flag, type=kind, choices=CHOICES.get(key),
-                           help=help_)
+            p.add_argument(flag, type=kind, help=help_,
+                           metavar="|".join(CHOICES.get(key, ())) or None)
     return p
 
 
@@ -172,6 +181,10 @@ def check_ranges(cfg: dict) -> None:
         if cfg[key] < low:
             raise ValueError(f"config key {key!r} must be >= {low}, "
                              f"got {cfg[key]!r}")
+    for key, allowed in CHOICES.items():
+        if cfg[key] not in allowed:
+            raise ValueError(f"config key {key!r} must be one of "
+                             f"{', '.join(allowed)}, got {cfg[key]!r}")
     if not (math.isfinite(cfg["lr"]) and cfg["lr"] > 0):
         raise ValueError(f"config key 'lr' must be finite and > 0, "
                          f"got {cfg['lr']!r}")
@@ -441,13 +454,13 @@ def load_prep(out_dir: Path, splits: tuple[str, ...] = ("train", "test"),
 def cmd_select(cfg: dict) -> StageResult:
     out_dir = Path(cfg["out_dir"])
     pipeline, train, _ = load_prep(out_dir, ("train",), selected=False)
-    ranking = select_union(train.X, train.y, k=cfg["k_features"],
-                           step=cfg["rfe_step"])
-    pipeline.feature_mask = ranking.union_mask
-    pipeline.per_class_features = ranking.per_class
+    per_class = select_union(train.X, train.y, k=cfg["k_features"],
+                             step=cfg["rfe_step"])
+    pipeline.feature_mask = sorted(set().union(*per_class.values()))
+    pipeline.per_class_features = per_class
     (out_dir / "pipeline.json").write_text(pipeline.to_json())
     return [out_dir / "pipeline.json"], [
-        f"select: union mask has {len(ranking.union_mask)} of "
+        f"select: union mask has {len(pipeline.feature_mask)} of "
         f"{pipeline.expanded_dim} features"], None
 
 
@@ -588,10 +601,9 @@ def main(argv=None) -> int:
     digests of the artifacts it wrote and its environment, and then the
     stage prints its summary."""
     start = time.perf_counter()
-    args = build_parser().parse_args(argv)
     commands = {"prep": cmd_prep, "select": cmd_select, "eval": cmd_eval}
     try:
-        cfg = resolve_config(args)
+        cfg = resolve_config(build_parser().parse_args(argv))
         artifacts, summary, workers_peak = commands.get(
             cfg["mode"], cmd_train)(cfg)
         write_runmeta(Path(cfg["out_dir"]), cfg, artifacts,

@@ -1,18 +1,17 @@
-"""Feature selection: binary logistic regression trained by full-batch
-gradient descent, recursive feature elimination ranked by |weight|, and the
-per-class top-k union used to mask the expanded feature matrix.
+"""Feature selection over plain arrays: logistic regression of several 0/1
+targets at once by full-batch gradient descent, recursive feature
+elimination (RFE) ranked by |weight|, and the per-class top-k lists.
 
 RFE fits in float32, and its epochs are the stage's cost. Each epoch runs
 two products with the training matrix, the forward and the gradient, each
 as a series of BLAS calls over blocks of about BLOCK_BYTES of it. The first
-fit of an elimination runs fit_logreg's default epochs from zero; each later
-fit is warm: it starts from the previous fit's weights and bias on the
-columns that survive and runs REFIT_EPOCHS more."""
+fit of an elimination runs FIRST_EPOCHS from zero; each later fit is warm:
+it starts from the previous fit's weights and bias on the columns that
+survive and runs REFIT_EPOCHS more."""
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +24,11 @@ log = logging.getLogger(__name__)
 # step 20) took 1.09-1.13 s with blocks of 256-768 KB, against 1.62 s with
 # one call a product and 1.60 s with 1 MB blocks
 BLOCK_BYTES = 512 * 1024
+
+# gradient-descent step of every RFE fit, and the epochs of an elimination's
+# first fit, from zero
+LR = 0.1
+FIRST_EPOCHS = 200
 
 # epochs of each RFE fit after the first, which starts where the previous
 # fit stopped. On twelve 10,000 x 122 bench corpora (k 20, step 20, one BLAS
@@ -50,55 +54,31 @@ def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(1.0, out, out=out)
 
 
-@dataclass
-class LogRegModel:
-    weights: np.ndarray
-    bias: float
-
-
-@dataclass
-class FeatureRanking:
-    per_class: dict[str, list[int]]          # class name -> top-k indices
-    union_mask: list[int] = field(default_factory=list)
-
-    @classmethod
-    def from_per_class(cls, per_class: dict[str, list[int]]) -> "FeatureRanking":
-        union = sorted(set().union(*per_class.values())) if per_class else []
-        return cls(per_class=per_class, union_mask=union)
-
-
-def fit_logreg(X: np.ndarray, y: np.ndarray, lr: float = 0.1,
-               epochs: int = 200, sample_weights: np.ndarray | None = None,
-               mask: np.ndarray | None = None,
-               start: LogRegModel | tuple | None = None) -> LogRegModel:
-    """Full-batch gradient descent on the (optionally weighted) logistic loss.
-    Weights and bias start at zero, or at ``start`` (a LogRegModel or a
-    ``(weights, bias)`` pair of the shapes this fit returns); either way the
-    fit is deterministic. It computes in float32 for a float32 ``X`` and in
-    float64 for any other.
-    An (n x c) ``y`` and ``sample_weights`` fit c targets at once into (c x d)
-    weights; a 0/1 (c x d) ``mask`` keeps masked weights at their start,
-    exactly 0 unless ``start`` puts something else there."""
+def fit_logreg(X: np.ndarray, Y: np.ndarray, sample_weights: np.ndarray,
+               mask: np.ndarray, epochs: int,
+               start: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Full-batch gradient descent at lr LR on the logistic loss of the c
+    targets of the (n x c) 0/1 ``Y`` at once, weighted by the (n x c)
+    ``sample_weights``, each column normalised to sum to 1. Returns the
+    (c x d) weights and (c,) bias. They start at zero, or at ``start``, a
+    ``(weights, bias)`` pair of those shapes; either way the fit is
+    deterministic. A 0/1 (c x d) ``mask`` keeps masked weights at their
+    start. It computes in float32 for a float32 ``X``, else in float64."""
     X = np.asarray(X)
     dtype = np.float32 if X.dtype == np.float32 else np.float64
     X = X.astype(dtype, copy=False)
-    y = np.asarray(y, dtype=dtype)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise ValueError(f"X shape {X.shape} does not match {y.shape[0]} labels")
+    Y = np.asarray(Y, dtype=dtype)
+    if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
+        raise ValueError(f"X shape {X.shape} does not match targets {Y.shape}")
     if X.shape[0] < 1:
         raise ValueError("empty training set")
     n = X.shape[0]
-    Y = y.reshape(n, -1).T                   # (c x n), one row per target
-    if sample_weights is None:
-        sw = np.full(Y.shape, 1.0 / n, dtype=dtype)
-    else:
-        sw = np.asarray(sample_weights, dtype=dtype).reshape(n, -1).T
-        sw = sw / sw.sum(axis=1, keepdims=True)
+    Y = Y.T                                  # (c x n), one row per target
+    sw = np.asarray(sample_weights, dtype=dtype).T
+    sw = sw / sw.sum(axis=1, keepdims=True)
     W = np.zeros((Y.shape[0], X.shape[1]), dtype=dtype)
     b = np.zeros((Y.shape[0], 1), dtype=dtype)
     if start is not None:
-        if isinstance(start, LogRegModel):
-            start = (start.weights, start.bias)
         W[:] = np.reshape(start[0], W.shape)
         b[:] = np.reshape(start[1], b.shape)
     # per-epoch arrays are reused: a fresh (c x n) array costs page faults
@@ -126,14 +106,11 @@ def fit_logreg(X: np.ndarray, y: np.ndarray, lr: float = 0.1,
         for xb, eb, slot in zip(x_blocks, err_blocks, slots):
             np.matmul(xb, eb.T, out=slot)
         slots.sum(axis=0, out=grad_t)
-        if mask is not None:
-            grad *= mask
-        grad *= lr
+        grad *= mask
+        grad *= LR
         W -= grad
-        b -= lr * err.sum(axis=1, keepdims=True)
-    if y.ndim == 1:
-        return LogRegModel(W[0], float(b[0, 0]))
-    return LogRegModel(W, b[:, 0])
+        b -= LR * err.sum(axis=1, keepdims=True)
+    return W, b[:, 0]
 
 
 def inverse_frequency_weights(y: np.ndarray) -> np.ndarray:
@@ -148,22 +125,16 @@ def inverse_frequency_weights(y: np.ndarray) -> np.ndarray:
     return w * len(y)
 
 
-def rfe(X: np.ndarray, y: np.ndarray, target_k: int = 20,
-        step: int = 5) -> list[int]:
-    """Recursive feature elimination: fit class-balanced logistic regression
-    (fit_logreg's default lr and epochs, from zero) on all columns, drop the
-    `step` smallest-|weight| features, then refit on the survivors from the
-    last fit's weights for REFIT_EPOCHS, until target_k remain. Returns
-    survivors in original-index order."""
-    return _eliminate(X, np.asarray(y)[None, :], target_k, step)[0]
-
-
-def _eliminate(X: np.ndarray, targets: np.ndarray, target_k: int,
-               step: int) -> list[list[int]]:
-    """RFE for each row of the (c x n) 0/1 ``targets``, one class-balanced
-    c-target fit per elimination on the columns any target still keeps, each
-    fit after the first warm-started from the one before. The fits run in
-    float32, prep's dtype; fit_logreg casts targets and weights."""
+def rfe(X: np.ndarray, targets: np.ndarray, target_k: int,
+        step: int) -> list[list[int]]:
+    """Recursive feature elimination for each row of the (c x n) 0/1
+    ``targets``: fit class-balanced logistic regression, drop each target's
+    ``step`` smallest-|weight| columns, and refit, until ``target_k`` remain
+    per target. Each elimination is one c-target fit on the columns some
+    target still keeps, each target's dropped columns masked. The first fit
+    runs FIRST_EPOCHS from zero; each later one starts from the last fit's
+    weights and bias and runs REFIT_EPOCHS. The fits run in float32, prep's
+    dtype. Returns each target's survivors in original-index order."""
     X = np.asarray(X, dtype=np.float32)
     d = X.shape[1]
     if target_k > d:
@@ -176,14 +147,13 @@ def _eliminate(X: np.ndarray, targets: np.ndarray, target_k: int,
     sw = np.stack([inverse_frequency_weights(t) for t in Y])
     alive = np.ones((len(Y), d), dtype=bool)
     remaining = d
-    warm = {}  # the first fit: fit_logreg's default epochs from zero
+    epochs, start = FIRST_EPOCHS, None
     while remaining > target_k:
         union = np.flatnonzero(alive.any(axis=0))
         XuT = X.T[union]  # C-contiguous, so the forward W @ XuT reads rows
-        model = fit_logreg(XuT.T, Y.T, sample_weights=sw.T,
-                           mask=alive[:, union], **warm)
+        W, b = fit_logreg(XuT.T, Y.T, sw.T, alive[:, union], epochs, start)
         drop = min(step, remaining - target_k)
-        for c, w in enumerate(model.weights):
+        for c, w in enumerate(W):
             cols = np.flatnonzero(alive[c, union])
             # smallest |weight| first; ties resolve to the lower original index
             order = np.argsort(np.abs(w[cols]), kind="stable")
@@ -192,22 +162,20 @@ def _eliminate(X: np.ndarray, targets: np.ndarray, target_k: int,
         # the next fit starts here, on the columns some target still keeps,
         # with each target's dropped weights set to exactly 0
         kept = alive[:, union].any(axis=0)
-        warm = {"epochs": REFIT_EPOCHS,
-                "start": (model.weights[:, kept] * alive[:, union[kept]],
-                          model.bias)}
+        epochs, start = REFIT_EPOCHS, (W[:, kept] * alive[:, union[kept]], b)
     return [np.flatnonzero(row).tolist() for row in alive]
 
 
 def select_union(X: np.ndarray, labels: np.ndarray, k: int = 20,
-                 step: int = 5) -> FeatureRanking:
+                 step: int = 5) -> dict[str, list[int]]:
     """One-vs-rest RFE per attack class, all five classes eliminated
-    together; the mask is the sorted union of the five top-k lists."""
+    together: class name -> its top-k columns. The feature mask is the
+    sorted union of the five lists."""
     labels = np.asarray(labels)
     targets = np.stack([labels == cls for cls in AttackClass])
     for cls, target in zip(AttackClass, targets):
         if not target.any():
             log.warning("class %s absent from labels; RFE runs on an all-zero "
                         "target", cls.name)
-    kept = _eliminate(X, targets, k, step)
-    return FeatureRanking.from_per_class(
-        {cls.name: cols for cls, cols in zip(AttackClass, kept)})
+    kept = rfe(X, targets, k, step)
+    return {cls.name: cols for cls, cols in zip(AttackClass, kept)}

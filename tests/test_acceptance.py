@@ -254,7 +254,7 @@ def test_criterion_11_rfe_oracle():
     from test_features import brute_force_top_features, informative_matrix
 
     X, y, informative = informative_matrix()
-    selected = rfe(X, y, target_k=2, step=1)
+    [selected] = rfe(X, [y], target_k=2, step=1)
     assert selected == informative
     assert selected == brute_force_top_features(X, y, 2)
     ok(11, f"RFE selected {selected}, equal to the brute-force "

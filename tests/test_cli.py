@@ -419,10 +419,10 @@ class TestClosedStdout:
 class TestSelect:
     def test_mask_written(self, prepped):
         pipe = json.loads((prepped / "out" / "pipeline.json").read_text())
-        mask = pipe["feature_mask"]
+        mask, per_class = pipe["feature_mask"], pipe["per_class_features"]
         assert 3 <= len(mask) <= 15
-        assert mask == sorted(set(mask))
-        assert len(pipe["per_class_features"]) == 5
+        assert len(per_class) == 5
+        assert mask == sorted(set().union(*per_class.values()))
 
     def test_without_prep_exit_3(self, tmp_path):
         assert main(["--mode", "select", "--out-dir", str(tmp_path)]) == 3
@@ -789,6 +789,28 @@ class TestMimicPool:
             "error: public pool too small for 150 clients\n")
 
 
+class TestCommandLine:
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "fl", "--rounds", "abc"],
+        ["--mode", "fl", "--loss", "bogus"],
+        ["--mode", "bogus"],
+        ["--mode", "fl", "--bogus"],
+        ["--rounds", "3"],
+    ], ids=["int_flag_not_an_int", "loss_not_a_choice", "mode_not_a_choice",
+            "unknown_flag", "no_mode"])
+    def test_bad_command_line_exit_4_with_one_line(self, tmp_path, argv):
+        rc, err = _run_main(argv + ["--out-dir", str(tmp_path / "out")])
+        assert rc == 4
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["--help"])
+        assert e.value.code == 0
+        assert "--mode" in capsys.readouterr().out
+
+
 class TestConfigFile:
     def test_flags_override_config_file(self, workdir, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -872,6 +894,28 @@ class TestConfigRanges:
         with contextlib.redirect_stderr(err):
             assert main(argv) == 4
         assert f"config key {key!r}" in err.getvalue()
+
+    @pytest.mark.parametrize("key,val", [
+        ("loss", "bogus"), ("student_init", "bogus"), ("seed", -5)])
+    @pytest.mark.parametrize("mode", ["prep", "fl", "ftml"])
+    @pytest.mark.parametrize("via_file", [False, True])
+    def test_bad_value_exit_4_naming_key(self, tmp_path, key, val, mode,
+                                         via_file):
+        """Each mode checks a file value as it checks the flag: a choice
+        outside its list and a negative seed exit 4 before any work."""
+        out = tmp_path / "out"
+        argv = ["--mode", mode, "--out-dir", str(out)]
+        if via_file:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: val}))
+            argv += ["--config", str(cfg)]
+        else:
+            argv.append(f"--{key.replace('_', '-')}={val}")
+        rc, err = _run_main(argv)
+        assert rc == 4
+        assert err.startswith(f"error: config key {key!r}")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_boundary_values_accepted(self, workdir):
         assert main(["--mode", "fl", "--out-dir", str(workdir),

@@ -4,8 +4,8 @@ import pytest
 from fedmimic import features
 from fedmimic.data import (AttackClass, apply_pipeline, fit_pipeline,
                            load_attack_mapping, map_labels, parse_records)
-from fedmimic.features import (FeatureRanking, fit_logreg,
-                               inverse_frequency_weights, rfe, select_union)
+from fedmimic.features import (fit_logreg, inverse_frequency_weights, rfe,
+                               select_union)
 
 from fedmimic.fedsim import openblas_threads
 
@@ -40,59 +40,67 @@ def brute_force_top_features(X, y, k):
     return sorted(np.argsort(scores)[-k:])
 
 
+def fit(X, Y, epochs, start=None):
+    """fit_logreg of the (n x c) ``Y`` with uniform sample weights and no
+    column masked."""
+    mask = np.ones((Y.shape[1], X.shape[1]))
+    return fit_logreg(X, Y, np.ones(Y.shape), mask, epochs, start)
+
+
 class TestLogReg:
     def test_zero_epochs_returns_zero_weights(self):
         X = np.random.default_rng(0).random((10, 3))
-        y = np.zeros(10, dtype=int)
-        model = fit_logreg(X, y, epochs=0)
-        assert (model.weights == 0).all() and model.bias == 0.0
+        W, b = fit(X, np.zeros((10, 1), dtype=int), 0)
+        assert (W == 0).all() and (b == 0.0).all()
+        assert W.shape == (1, 3) and b.shape == (1,)
 
     def test_separable_1d(self):
         rng = np.random.default_rng(1)
         x = np.concatenate([rng.uniform(-2, -1, 100), rng.uniform(1, 2, 100)])
         y = (x > 0).astype(int)
-        model = fit_logreg(x.reshape(-1, 1), y, lr=0.1, epochs=200)
+        W, b = fit(x.reshape(-1, 1), y.reshape(-1, 1), 200)
         # sigmoid(z) >= 0.5 exactly when z >= 0
-        predicted = (x.reshape(-1, 1) @ model.weights + model.bias >= 0)
+        predicted = (x.reshape(-1, 1) @ W.T + b >= 0)[:, 0]
         assert (predicted.astype(int) == y).mean() == 1.0
 
     def test_deterministic(self):
         X, y, _ = informative_matrix(seed=5)
-        m1 = fit_logreg(X, y, epochs=50)
-        m2 = fit_logreg(X, y, epochs=50)  # zero init: no randomness
-        assert np.array_equal(m1.weights, m2.weights)
+        W1, _ = fit(X, y[:, None], 50)
+        W2, _ = fit(X, y[:, None], 50)  # zero init: no randomness
+        assert np.array_equal(W1, W2)
 
     def test_all_same_label_trains(self):
         X = np.random.default_rng(2).random((20, 4))
-        model = fit_logreg(X, np.zeros(20, dtype=int), epochs=20)
-        assert np.isfinite(model.weights).all()
+        W, _ = fit(X, np.zeros((20, 1), dtype=int), 20)
+        assert np.isfinite(W).all()
 
     def test_dimension_mismatch(self):
+        X = np.ones((5, 2))
         with pytest.raises(ValueError):
-            fit_logreg(np.ones((5, 2)), np.zeros(4, dtype=int))
+            fit(X, np.zeros((4, 1), dtype=int), 200)
+        with pytest.raises(ValueError):  # targets are (n x c), never 1-D
+            fit_logreg(X, np.zeros(5), np.ones(5), np.ones((1, 2)), 200)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("targets", [1, 2])
     def test_start_continues_a_fit(self, dtype, targets):
         """30 epochs, then 20 from their weights and bias, are the 50
-        epochs of one fit, bit for bit, from a model or a pair."""
+        epochs of one fit, bit for bit."""
         X, y, _ = informative_matrix()
         X = X.astype(dtype)
-        if targets == 2:
-            y = np.stack([y, 1 - y], axis=1)
-        whole = fit_logreg(X, y, epochs=50)
-        first = fit_logreg(X, y, epochs=30)
-        kept = first.weights.copy()
-        for start in (first, (first.weights, first.bias)):
-            rest = fit_logreg(X, y, epochs=20, start=start)
-            assert np.array_equal(rest.weights, whole.weights)
-            assert np.array_equal(rest.bias, whole.bias)
-        assert np.array_equal(first.weights, kept)
+        Y = y[:, None] if targets == 1 else np.stack([y, 1 - y], axis=1)
+        whole = fit(X, Y, 50)
+        first = fit(X, Y, 30)
+        kept = first[0].copy()
+        rest = fit(X, Y, 20, start=first)
+        assert np.array_equal(rest[0], whole[0])
+        assert np.array_equal(rest[1], whole[1])
+        assert np.array_equal(first[0], kept)
 
     def test_start_of_the_wrong_size_rejected(self):
         X, y, _ = informative_matrix()
         with pytest.raises(ValueError):
-            fit_logreg(X, y, start=(np.zeros(X.shape[1] + 1), 0.0))
+            fit(X, y[:, None], 200, start=(np.zeros(X.shape[1] + 1), 0.0))
 
     @pytest.mark.parametrize("dtype,want", [
         (np.float32, np.float32), (np.float64, np.float64),
@@ -100,11 +108,9 @@ class TestLogReg:
     def test_computes_in_input_dtype(self, dtype, want):
         X, y, _ = informative_matrix()
         X = (X * 10).astype(dtype)
-        single = fit_logreg(X, y, epochs=20)
-        multi = fit_logreg(X, np.stack([y, 1 - y], axis=1), epochs=20,
-                           mask=np.ones((2, X.shape[1])))
-        assert single.weights.dtype == want
-        assert multi.weights.dtype == want and multi.bias.dtype == want
+        for Y in (y[:, None], np.stack([y, 1 - y], axis=1)):
+            W, b = fit(X, Y, 20)
+            assert W.dtype == want and b.dtype == want
 
 
 class TestInverseFrequencyWeights:
@@ -118,37 +124,39 @@ class TestInverseFrequencyWeights:
 
 
 class TestRFE:
+    """RFE of one target, the one row of ``[y]``."""
+
     def test_identity_when_target_is_all(self):
         X, y, _ = informative_matrix()
-        assert rfe(X, y, target_k=X.shape[1]) == list(range(X.shape[1]))
+        assert rfe(X, [y], X.shape[1], 5) == [list(range(X.shape[1]))]
 
     def test_finds_informative_columns(self):
         X, y, informative = informative_matrix()
-        selected = rfe(X, y, target_k=2, step=1)
+        [selected] = rfe(X, [y], 2, 1)
         assert selected == informative
         assert selected == brute_force_top_features(X, y, 2)
 
     def test_step_clamps_to_shortfall(self):
         X, y, informative = informative_matrix()
-        selected = rfe(X, y, target_k=2, step=100)
+        [selected] = rfe(X, [y], 2, 100)
         assert len(selected) == 2
 
     def test_target_too_large(self):
         X, y, _ = informative_matrix()
         with pytest.raises(ValueError):
-            rfe(X, y, target_k=X.shape[1] + 1)
+            rfe(X, [y], X.shape[1] + 1, 5)
 
     def test_invariant_to_appended_zero_columns(self):
         X, y, informative = informative_matrix()
         padded = np.hstack([X, np.zeros((X.shape[0], 3))])
-        assert rfe(padded, y, target_k=2, step=1) == informative
+        assert rfe(padded, [y], 2, 1) == [informative]
 
     def test_deterministic(self):
         X, y, _ = informative_matrix(seed=9)
-        assert rfe(X, y, target_k=3) == rfe(X, y, target_k=3)
+        assert rfe(X, [y], 3, 5) == rfe(X, [y], 3, 5)
 
     @pytest.mark.parametrize("run", [
-        lambda X, y: rfe(X, y, target_k=2, step=3),
+        lambda X, y: rfe(X, [y], 2, 3),
         lambda X, y: select_union(X, y, k=2, step=3)])
     def test_fits_in_float32(self, monkeypatch, run):
         seen = []
@@ -174,30 +182,25 @@ class TestSelectUnion:
 
     def test_union_properties(self):
         X, y = self._labels_5class()
-        ranking = select_union(X, y, k=3, step=1)
-        mask = ranking.union_mask
-        assert mask == sorted(set(mask))
-        assert 3 <= len(mask) <= 15
-        assert all(0 <= i < X.shape[1] for i in mask)
-        for indices in ranking.per_class.values():
+        per_class = select_union(X, y, k=3, step=1)
+        union = set().union(*per_class.values())
+        assert 3 <= len(union) <= 15
+        assert all(0 <= i < X.shape[1] for i in union)
+        for indices in per_class.values():
             assert len(indices) == 3
-            assert len(set(indices)) == 3
+            assert indices == sorted(set(indices))
         # each class's discriminative column survives its own RFE
         for c, cls in enumerate(["DoS", "Normal", "Probe", "R2L", "U2R"]):
-            assert c in ranking.per_class[cls]
+            assert c in per_class[cls]
 
     def test_absent_class_still_runs(self, caplog):
         X = np.random.default_rng(0).random((60, 6))
         y = np.zeros(60, dtype=int)  # only DoS present
         with caplog.at_level("WARNING"):
-            ranking = select_union(X, y, k=2, step=1)
-        assert len(ranking.per_class) == 5
-        assert len(ranking.union_mask) <= 10
+            per_class = select_union(X, y, k=2, step=1)
+        assert len(per_class) == 5
+        assert len(set().union(*per_class.values())) <= 10
         assert "absent" in caplog.text
-
-    def test_union_deduplicates(self):
-        per_class = {"A": [1, 2], "B": [2, 3]}
-        assert FeatureRanking.from_per_class(per_class).union_mask == [1, 2, 3]
 
 
 def reference_rfe(X, y, target_k, step, lr=0.1, epochs=200, warm=True):
@@ -245,31 +248,30 @@ class TestSelectUnionOracle:
     @pytest.mark.parametrize("k,step", [(3, 1), (4, 5), (2, 100)])
     def test_per_class_lists_equal_single_target_loop(self, k, step):
         X, y = self._imbalanced()
-        ranking = select_union(X, y, k=k, step=step)
+        per_class = select_union(X, y, k=k, step=step)
         for cls in AttackClass:
             target = (y == cls).astype(np.int64)
-            assert ranking.per_class[cls.name] == reference_rfe(
+            assert per_class[cls.name] == reference_rfe(
                 X, target, k, step), cls.name
-            assert ranking.per_class[cls.name] == rfe(
-                X, target, target_k=k, step=step)
+            assert [per_class[cls.name]] == rfe(X, [target], k, step)
 
     def test_multi_target_fit_equals_masked_single_fits(self):
         X, y = self._imbalanced()
         Y = np.stack([(y == c) for c in range(3)], axis=1).astype(float)
         mask = np.ones((3, X.shape[1]))
         mask[1, :5] = 0
-        model = fit_logreg(X, Y, epochs=50, mask=mask)
-        assert (model.weights[1, :5] == 0).all()
-        assert model.weights.shape == (3, X.shape[1])
+        W, b = fit_logreg(X, Y, np.ones(Y.shape), mask, 50)
+        assert (W[1, :5] == 0).all()
+        assert W.shape == (3, X.shape[1])
         for c in (0, 2):
-            single = fit_logreg(X, Y[:, c], epochs=50)
-            np.testing.assert_allclose(model.weights[c], single.weights,
-                                       rtol=1e-12, atol=1e-15)
-            assert model.bias[c] == pytest.approx(single.bias, rel=1e-12)
-        kept = fit_logreg(X[:, 5:], Y[:, 1], epochs=50)
-        np.testing.assert_allclose(model.weights[1, 5:], kept.weights,
-                                   rtol=1e-12, atol=1e-15)
-        scores = X @ model.weights.T + model.bias
+            single_W, single_b = fit(X, Y[:, [c]], 50)
+            np.testing.assert_allclose(W[c], single_W[0], rtol=1e-12,
+                                       atol=1e-15)
+            assert b[c] == pytest.approx(single_b[0], rel=1e-12)
+        kept_W, _ = fit(X[:, 5:], Y[:, [1]], 50)
+        np.testing.assert_allclose(W[1, 5:], kept_W[0], rtol=1e-12,
+                                   atol=1e-15)
+        scores = X @ W.T + b
         assert scores.shape == (X.shape[0], 3)
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -279,10 +281,10 @@ class TestSelectUnionOracle:
         records = parse_records(make_kdd_lines(n=400, seed=seed))
         y = map_labels(records, load_attack_mapping())
         X = apply_pipeline(fit_pipeline(records), records)
-        ranking = select_union(X, y, k=5, step=4)
+        per_class = select_union(X, y, k=5, step=4)
         for cls in AttackClass:
             target = (y == cls).astype(np.int64)
-            assert ranking.per_class[cls.name] == reference_rfe(
+            assert per_class[cls.name] == reference_rfe(
                 X, target, 5, 4), cls.name
 
     @pytest.mark.parametrize("k", [0, -1])
@@ -299,11 +301,11 @@ class TestWarmStart:
                  for j in range(X.shape[1])}
         fits = []
 
-        def spy(X, *args, epochs=200, start=None, **kwargs):
-            model = fit_logreg(X, *args, epochs=epochs, start=start, **kwargs)
+        def spy(X, Y, sample_weights, mask, epochs, start=None):
+            fitted = fit_logreg(X, Y, sample_weights, mask, epochs, start)
             union = [index[col.tobytes()] for col in X.T]
-            fits.append((union, kwargs["mask"], epochs, start, model))
-            return model
+            fits.append((union, mask, epochs, start, fitted))
+            return fitted
 
         monkeypatch.setattr(features, "fit_logreg", spy)
         select_union(X, y, k=3, step=4)    # fits at 18, 14, 10 and 6 left
@@ -314,19 +316,20 @@ class TestWarmStart:
                 fits, fits[1:]):
             weights, bias = start
             assert set(union) <= set(union0)
-            on_union = last.weights[:, [union0.index(j) for j in union]]
+            last_weights, last_bias = last
+            on_union = last_weights[:, [union0.index(j) for j in union]]
             assert np.array_equal(weights[mask], on_union[mask])
             assert (weights[~mask] == 0).all() and (~mask).any()
-            assert np.array_equal(bias, last.bias)
+            assert np.array_equal(bias, last_bias)
 
     @pytest.mark.parametrize("k", [3, 8])
     def test_one_elimination_equals_float64_cold_loop(self, k):
         X, y = TestSelectUnionOracle()._imbalanced()
         step = X.shape[1] - k
-        ranking = select_union(X, y, k=k, step=step)
+        per_class = select_union(X, y, k=k, step=step)
         for cls in AttackClass:
             target = (y == cls).astype(np.int64)
-            assert ranking.per_class[cls.name] == reference_rfe(
+            assert per_class[cls.name] == reference_rfe(
                 X, target, k, step, warm=False), cls.name
 
 
@@ -367,7 +370,7 @@ def five_target_problem(n=400, d=18, seed=7):
 class TestBlockedFit:
     def fit(self, monkeypatch, budget, X, Y, sw, mask):
         monkeypatch.setattr(features, "BLOCK_BYTES", budget)
-        return fit_logreg(X, Y, sample_weights=sw, mask=mask)
+        return fit_logreg(X, Y, sw, mask, 200)
 
     # float32 sums in block order move the last bits of the weights, whose
     # magnitudes reach about 2.2 here: measured up to 2.4e-7 (one ulp)
@@ -380,12 +383,10 @@ class TestBlockedFit:
         blocked = self.fit(monkeypatch, SMALL_BLOCK_BYTES, X, Y, sw, mask)
         rows = features._block_rows(X.shape[1], X.itemsize)
         assert len(X) // rows >= 5 and len(X) % rows
-        assert blocked.weights.dtype == dtype
-        assert (blocked.weights[mask == 0] == 0).all()
-        np.testing.assert_allclose(blocked.weights, one.weights, rtol=rtol,
-                                   atol=atol)
-        np.testing.assert_allclose(blocked.bias, one.bias, rtol=rtol,
-                                   atol=atol)
+        assert blocked[0].dtype == dtype
+        assert (blocked[0][mask == 0] == 0).all()
+        np.testing.assert_allclose(blocked[0], one[0], rtol=rtol, atol=atol)
+        np.testing.assert_allclose(blocked[1], one[1], rtol=rtol, atol=atol)
 
     @pytest.mark.parametrize("n", [1, 3, 55, 56])
     def test_fewer_samples_than_one_block(self, monkeypatch, n):
@@ -396,8 +397,8 @@ class TestBlockedFit:
         blocked = self.fit(monkeypatch, SMALL_BLOCK_BYTES, X, Y, sw, mask)
         assert features._block_rows(X.shape[1], 4) == 56
         one = self.fit(monkeypatch, 1 << 30, X, Y, sw, mask)
-        assert np.array_equal(blocked.weights, one.weights)
-        assert np.array_equal(blocked.bias, one.bias)
+        assert np.array_equal(blocked[0], one[0])
+        assert np.array_equal(blocked[1], one[1])
 
     def test_one_sample_past_a_block(self, monkeypatch):
         X, Y, sw, mask = five_target_problem(n=57)
@@ -405,9 +406,8 @@ class TestBlockedFit:
         blocked = self.fit(monkeypatch, SMALL_BLOCK_BYTES, X, Y, sw, mask)
         assert features._block_rows(X.shape[1], 4) == 56
         one = self.fit(monkeypatch, 1 << 30, X, Y, sw, mask)
-        assert (blocked.weights[mask == 0] == 0).all()
-        np.testing.assert_allclose(blocked.weights, one.weights, rtol=1e-5,
-                                   atol=1e-6)
+        assert (blocked[0][mask == 0] == 0).all()
+        np.testing.assert_allclose(blocked[0], one[0], rtol=1e-5, atol=1e-6)
 
 
 def test_lists_independent_of_blas_threads():
@@ -430,7 +430,7 @@ def test_lists_independent_of_blas_threads():
     try:
         for threads in (1, 2):
             set_(threads)
-            lists.append(select_union(X, y, k=10, step=10).per_class)
+            lists.append(select_union(X, y, k=10, step=10))
     finally:
         set_(before)
     assert lists[0] == lists[1]

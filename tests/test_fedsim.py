@@ -8,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmimic import fedsim
-from fedmimic.data import Dataset
+from fedmimic.data import (AttackClass, Dataset, apply_pipeline, fit_pipeline,
+                           load_attack_mapping, map_labels, parse_records,
+                           split_indices)
 from fedmimic.fedsim import (TAG_CLIENT, TAG_INIT, ClientShard, RoundHistory,
                              RoundRecord, derive_seed, fedavg, openblas_threads,
                              run_fl, run_rounds)
-from fedmimic.nn import ModelParams, TrainConfig, init_model, train_local
+from fedmimic.nn import (ModelParams, TrainConfig, init_model, predict,
+                         train_local)
 
-from conftest import toy_separable
+from conftest import make_kdd_lines, toy_separable
 from test_nn import models_equal
 
 
@@ -168,6 +171,29 @@ class TestRunFl:
                                                dropout_rate=0.0),
                             seed=0, hidden=12)
         assert history.rounds[-1].test_accuracy > 90.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mae_never_predicts_u2r_where_xent_does(seed):
+    """Records a behaviour, not a bound: on a small corpus with about 3% U2R
+    rows, central training at the paper's defaults (MAE loss) predicts no
+    test row as U2R, and the same run with cross-entropy predicts some. The
+    MAE gradient on a class's logit scales with that class's probability,
+    so a class the start model gives little mass is never learned."""
+    records = parse_records(make_kdd_lines(n=3000, seed=seed))
+    y = map_labels(records, load_attack_mapping())
+    tr, te = split_indices(len(records), 0.3, seed)
+    pipeline = fit_pipeline(records.take(tr))
+    train = Dataset(apply_pipeline(pipeline, records.take(tr)), y[tr])
+    test = Dataset(apply_pipeline(pipeline, records.take(te)), y[te])
+    u2r = {}
+    for loss in ("mae", "xent"):
+        model, _ = run_fl([ClientShard(0, train)], test, rounds=1,
+                          config=TrainConfig(loss=loss, seed=seed),
+                          seed=seed, hidden=64)
+        u2r[loss] = int((predict(model, test.X) == AttackClass.U2R).sum())
+    assert u2r["mae"] == 0
+    assert u2r["xent"] >= 1
 
 
 class TestClientPool:
