@@ -202,6 +202,18 @@ class TestSelectUnion:
         assert len(set().union(*per_class.values())) <= 10
         assert "absent" in caplog.text
 
+    def test_union_deduplicates(self):
+        # five classes keep 3 of 6 columns each: 15 picks over at most 6
+        # columns, so the lists must overlap and the union collapses them
+        X, y = self._labels_5class()
+        per_class = select_union(X[:, :6], y, k=3, step=1)
+        picks = [i for indices in per_class.values() for i in indices]
+        mask = sorted(set().union(*per_class.values()))
+        assert len(picks) == 15
+        assert len(mask) < len(picks)
+        assert len(mask) == len(set(mask)) <= 6
+        assert set(mask) == set(picks)
+
 
 def reference_rfe(X, y, target_k, step, lr=0.1, epochs=200, warm=True):
     """Oracle: the single-target fit-and-drop loop of one class, in float64.
