@@ -2,12 +2,15 @@
 training regimes (central, fl, ftml, fsml), and standalone evaluation.
 
 Exit codes: 0 ok, 2 missing input file, 3 missing prep artifacts,
-4 invalid configuration, 5 file-format or shape error.
+4 invalid configuration or a file the stage cannot write, 5 file-format or
+shape error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import hashlib
 import json
 import math
@@ -85,9 +88,22 @@ DEFAULTS = {
     "out_dir": "out",
 }
 
-# lowest allowed value of each range-checked count; lr is checked on its own
-MINIMUM = {"seed": 0, "rounds": 0, "clients": 1, "samples_per_client": 1,
-           "threads": 1, "k_features": 1, "rfe_step": 1}
+# the allowed interval of each range-checked number, as (low, high,
+# brackets): "[" and "]" allow the bound itself, "(" and ")" do not. NaN is
+# in no interval. Dropout keeps a unit with a probability that is a multiple
+# of 2**-16 (nn._forward_cached), so it cannot keep less than that.
+RANGES = {
+    **{key: (low, math.inf, "[)") for key, low in (
+        ("seed", 0), ("rounds", 0), ("clients", 1), ("samples_per_client", 1),
+        ("threads", 1), ("k_features", 1), ("rfe_step", 1), ("hidden", 1),
+        ("batch", 1), ("epochs", 0))},
+    "lr": (0.0, math.inf, "()"),
+    "dropout": (0.0, 1.0 - 2.0 ** -16, "[]"),
+    "beta1": (0.0, 1.0, "[)"),
+    "beta2": (0.0, 1.0, "[)"),
+    "private_fraction": (0.0, 1.0, "()"),
+    "test_fraction": (0.0, 1.0, "()"),
+}
 CHOICES = {"loss": ("mae", "xent"), "student_init": STUDENT_INIT_POLICIES}
 FLAG_HELP = {
     "config": "JSON config file; flags override it",
@@ -177,17 +193,17 @@ def resolve_config(args: argparse.Namespace) -> dict:
 def check_ranges(cfg: dict) -> None:
     """Values out of range, from a flag or the config file, raise ValueError
     naming the key (exit 4)."""
-    for key, low in MINIMUM.items():
-        if cfg[key] < low:
-            raise ValueError(f"config key {key!r} must be >= {low}, "
-                             f"got {cfg[key]!r}")
+    for key, (low, high, brackets) in RANGES.items():
+        val = cfg[key]
+        above = low <= val if brackets[0] == "[" else low < val
+        below = val <= high if brackets[1] == "]" else val < high
+        if not (above and below):
+            raise ValueError(f"config key {key!r} must be in {brackets[0]}"
+                             f"{low}, {high}{brackets[1]}, got {val!r}")
     for key, allowed in CHOICES.items():
         if cfg[key] not in allowed:
             raise ValueError(f"config key {key!r} must be one of "
                              f"{', '.join(allowed)}, got {cfg[key]!r}")
-    if not (math.isfinite(cfg["lr"]) and cfg["lr"] > 0):
-        raise ValueError(f"config key 'lr' must be finite and > 0, "
-                         f"got {cfg['lr']!r}")
 
 
 def check_config_value(key: str, val) -> None:
@@ -215,12 +231,70 @@ def train_config(cfg: dict) -> TrainConfig:
     return tc
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+@contextlib.contextmanager
+def _writing(path: Path):
+    """Raises an OSError of its block as ValueError (exit 4) naming ``path``."""
+    try:
+        yield
+    except OSError as e:
+        raise ValueError(f"cannot write {path}: {e.strerror or e}") from None
+
+
+class _HashingFile:
+    """A binary file that hashes the bytes written through it."""
+
+    def __init__(self, f):
+        self.f, self.sha256 = f, hashlib.sha256()
+
+    def write(self, data) -> int:
+        self.sha256.update(data)
+        return self.f.write(data)
+
+
+class Artifacts:
+    """The files one stage writes to its out dir. Each goes to a hidden
+    temporary file beside its name, ``.<name>.tmp``, and is hashed as it is
+    written. When the ``with`` block ends without an exception, every file
+    is renamed into place in the order written; otherwise, and after a
+    failed rename, the temporary files are removed. ``digests`` maps each
+    name to its sha256. Files are not fsynced."""
+
+    def __init__(self, out_dir: Path):
+        self.out_dir = out_dir
+        self.digests: dict[str, str] = {}
+        self._temps: dict[str, Path] = {}
+
+    @contextlib.contextmanager
+    def open(self, name: str):
+        """A binary file for the artifact ``name``. A directory of that name
+        fails here, not in a rename after earlier files have landed."""
+        path, tmp = self.out_dir / name, self.out_dir / f".{name}.tmp"
+        with _writing(path):
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            with open(tmp, "wb") as f:
+                self._temps[name] = tmp
+                sink = _HashingFile(f)
+                yield sink
+        self.digests[name] = sink.sha256.hexdigest()
+
+    def write_text(self, name: str, text: str) -> None:
+        with self.open(name) as f:
+            f.write(text.encode("utf-8"))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        try:
+            if kind is None:
+                for name, tmp in list(self._temps.items()):
+                    with _writing(self.out_dir / name):
+                        os.replace(tmp, self.out_dir / name)
+                    del self._temps[name]
+        finally:
+            for tmp in self._temps.values():
+                tmp.unlink(missing_ok=True)
 
 
 def blas_build() -> dict:
@@ -246,15 +320,16 @@ def environment(cfg: dict, wall_s: float,
     }
 
 
-def write_runmeta(out_dir: Path, cfg: dict, artifacts: list[Path],
-                  wall_s: float, workers_peak_rss_mb: float | None = None):
+def write_runmeta(out: Artifacts, cfg: dict, wall_s: float,
+                  workers_peak_rss_mb: float | None = None):
+    """The stage's last file: its config, the digests of the files it wrote
+    and of the pipeline.json it trained on, and its environment."""
     meta = {
         "config": {k: v for k, v in sorted(cfg.items())},
-        "artifacts": {p.name: _sha256(p) for p in artifacts if p.exists()},
+        "artifacts": dict(out.digests),
         "environment": environment(cfg, wall_s, workers_peak_rss_mb),
     }
-    (out_dir / "runmeta.json").write_text(json.dumps(meta, indent=1,
-                                                     sort_keys=True))
+    out.write_text("runmeta.json", json.dumps(meta, indent=1, sort_keys=True))
 
 
 def _resolve_dataset_path(cfg: dict, key: str, default_name: str) -> Path | None:
@@ -311,9 +386,9 @@ def read_split(cfg: dict, train_path: Path, test_path: Path | None):
     return corpus.take(tr), y[tr], corpus.take(te), y[te]
 
 
-# what a stage wrote, its summary lines, and the largest peak memory (MB) of
-# its client worker processes, None when it started none
-StageResult = tuple[list[Path], list[str], float | None]
+# a stage's summary lines and the largest peak memory (MB) of its client
+# worker processes, None when it started none
+StageResult = tuple[list[str], float | None]
 
 
 def _exists(path: Path) -> bool:
@@ -328,8 +403,8 @@ def _exists(path: Path) -> bool:
     return True
 
 
-def cmd_prep(cfg: dict) -> StageResult:
-    out_dir = Path(cfg["out_dir"])
+def cmd_prep(cfg: dict, out: Artifacts) -> StageResult:
+    out_dir = out.out_dir
     # checked here, created only once the inputs have parsed, so that a
     # failed prep leaves no empty directory behind
     try:
@@ -354,11 +429,11 @@ def cmd_prep(cfg: dict) -> StageResult:
     test_X = apply_pipeline(pipeline, test)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    np.save(out_dir / "train_X.npy", train_X)
-    np.save(out_dir / "train_y.npy", train_y)
-    np.save(out_dir / "test_X.npy", test_X)
-    np.save(out_dir / "test_y.npy", test_y)
-    (out_dir / "pipeline.json").write_text(pipeline.to_json())
+    for name, array in (("train_X", train_X), ("train_y", train_y),
+                        ("test_X", test_X), ("test_y", test_y)):
+        with out.open(f"{name}.npy") as f:
+            np.save(f, array)
+    out.write_text("pipeline.json", pipeline.to_json())
 
     observed = class_counts(np.concatenate([train_y, test_y]))
     manifest = {
@@ -380,15 +455,13 @@ def cmd_prep(cfg: dict) -> StageResult:
                     "totals; observed counts above come from the files",
         },
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1,
-                                                      sort_keys=True))
+    out.write_text("manifest.json", json.dumps(manifest, indent=1,
+                                               sort_keys=True))
     summary = [f"prep: {len(train)} train / {len(test)} test, "
                f"{pipeline.expanded_dim} expanded features"]
     summary += [f"  train {name}: {count}"
                 for name, count in class_counts(train_y).items()]
-    return [out_dir / n for n in ("pipeline.json", "manifest.json",
-                                  "train_X.npy", "train_y.npy",
-                                  "test_X.npy", "test_y.npy")], summary, None
+    return summary, None
 
 
 def _read_split(out_dir: Path, name: str, columns: int) -> Dataset:
@@ -421,10 +494,11 @@ def _read_split(out_dir: Path, name: str, columns: int) -> Dataset:
 
 
 def load_prep(out_dir: Path, splits: tuple[str, ...] = ("train", "test"),
-              selected: bool = True):
+              selected: bool = True, digests: dict | None = None):
     """(pipeline, train, test) for the named ``splits``, a split not named
     None. Each is cut to the feature mask if there is one; ``selected=False``
-    keeps every expanded column, the select stage's input. A missing
+    keeps every expanded column, the select stage's input. ``digests``, if
+    given, gets the sha256 of the pipeline.json bytes read. A missing
     artifact raises MissingPrep (exit 3), a damaged one ParseError naming it
     (exit 5)."""
     needed = ["pipeline.json", *(f"{name}_{part}.npy" for name in splits
@@ -434,10 +508,13 @@ def load_prep(out_dir: Path, splits: tuple[str, ...] = ("train", "test"),
         raise MissingPrep(f"prep artifacts missing from {out_dir}: {missing} "
                           f"(run --mode prep first)")
     path = out_dir / "pipeline.json"
+    raw = path.read_bytes()
     try:
-        pipeline = PreprocessPipeline.from_json(path.read_text())
+        pipeline = PreprocessPipeline.from_json(raw.decode("utf-8"))
     except ValueError as e:  # JSON and Unicode decoding errors included
         raise ParseError(f"{path}: {e}") from None
+    if digests is not None:
+        digests[path.name] = hashlib.sha256(raw).hexdigest()
     loaded = {}
     for name in splits:
         split = _read_split(out_dir, name, pipeline.expanded_dim)
@@ -451,17 +528,15 @@ def load_prep(out_dir: Path, splits: tuple[str, ...] = ("train", "test"),
     return pipeline, loaded.get("train"), loaded.get("test")
 
 
-def cmd_select(cfg: dict) -> StageResult:
-    out_dir = Path(cfg["out_dir"])
-    pipeline, train, _ = load_prep(out_dir, ("train",), selected=False)
+def cmd_select(cfg: dict, out: Artifacts) -> StageResult:
+    pipeline, train, _ = load_prep(out.out_dir, ("train",), selected=False)
     per_class = select_union(train.X, train.y, k=cfg["k_features"],
                              step=cfg["rfe_step"])
     pipeline.feature_mask = sorted(set().union(*per_class.values()))
     pipeline.per_class_features = per_class
-    (out_dir / "pipeline.json").write_text(pipeline.to_json())
-    return [out_dir / "pipeline.json"], [
-        f"select: union mask has {len(pipeline.feature_mask)} of "
-        f"{pipeline.expanded_dim} features"], None
+    out.write_text("pipeline.json", pipeline.to_json())
+    return [f"select: union mask has {len(pipeline.feature_mask)} of "
+            f"{pipeline.expanded_dim} features"], None
 
 
 def build_mimic_clients(train: Dataset, cfg: dict) -> list[MimicClient]:
@@ -493,9 +568,9 @@ def build_mimic_clients(train: Dataset, cfg: dict) -> list[MimicClient]:
             for cid, (shard, sl) in enumerate(zip(shards, cuts))]
 
 
-def cmd_train(cfg: dict) -> StageResult:
-    out_dir = Path(cfg["out_dir"])
-    _, train, test = load_prep(out_dir)
+def cmd_train(cfg: dict, out: Artifacts) -> StageResult:
+    # the digest of the mask the model is trained on goes to runmeta.json
+    _, train, test = load_prep(out.out_dir, digests=out.digests)
     tc = train_config(cfg)
     mode, seed = cfg["mode"], cfg["seed"]
 
@@ -518,16 +593,14 @@ def cmd_train(cfg: dict) -> StageResult:
             build_mimic_clients(train, cfg), test, cfg["rounds"], tc, seed,
             hidden=cfg["hidden"], threads=cfg["threads"])
 
-    save_model(model, out_dir / "model.fmim", tc.loss)
-    (out_dir / "history.csv").write_text(history.to_csv())
+    with out.open("model.fmim") as f:
+        save_model(model, f, tc.loss)
+    out.write_text("history.csv", history.to_csv())
     report = per_class_metrics(confusion(predict(model, test.X), test.y))
-    (out_dir / "report.txt").write_text(report.to_text())
-    (out_dir / "report.csv").write_text(report.to_csv())
-    (out_dir / "report.json").write_text(report.to_json())
-    return [out_dir / n for n in ("model.fmim", "history.csv", "report.txt",
-                                  "report.csv", "report.json",
-                                  "pipeline.json")], [
-        f"{mode}: overall test accuracy {report.overall_accuracy:.2f}%"], \
+    out.write_text("report.txt", report.to_text())
+    out.write_text("report.csv", report.to_csv())
+    out.write_text("report.json", report.to_json())
+    return [f"{mode}: overall test accuracy {report.overall_accuracy:.2f}%"], \
         history.workers_peak_rss_mb
 
 
@@ -549,8 +622,8 @@ def accuracy_series(hist_path: Path) -> str:
     return "\n".join(series) + "\n"
 
 
-def cmd_eval(cfg: dict) -> StageResult:
-    out_dir = Path(cfg["out_dir"])
+def cmd_eval(cfg: dict, out: Artifacts) -> StageResult:
+    out_dir = out.out_dir
     model_path = input_file(cfg["model_file"] or out_dir / "model.fmim",
                             "model file")
     hist_path = (input_file(cfg["history_file"], "history file")
@@ -563,16 +636,12 @@ def cmd_eval(cfg: dict) -> StageResult:
     # read the history before writing anything, so a bad one writes nothing
     series = accuracy_series(hist_path) if hist_path else None
     report = per_class_metrics(confusion(predict(model, test.X), test.y))
-    (out_dir / "eval_report.txt").write_text(report.to_text())
-    (out_dir / "eval_report.csv").write_text(report.to_csv())
-    (out_dir / "eval_report.json").write_text(report.to_json())
-    artifacts = [out_dir / n for n in ("eval_report.txt", "eval_report.csv",
-                                       "eval_report.json")]
+    out.write_text("eval_report.txt", report.to_text())
+    out.write_text("eval_report.csv", report.to_csv())
+    out.write_text("eval_report.json", report.to_json())
     if series is not None:
-        (out_dir / "accuracy_series.csv").write_text(series)
-        artifacts.append(out_dir / "accuracy_series.csv")
-    return artifacts, [
-        f"eval: overall test accuracy {report.overall_accuracy:.2f}%"], None
+        out.write_text("accuracy_series.csv", series)
+    return [f"eval: overall test accuracy {report.overall_accuracy:.2f}%"], None
 
 
 def print_summary(lines: list[str]) -> None:
@@ -599,15 +668,17 @@ def print_error(e: Exception) -> None:
 def main(argv=None) -> int:
     """Runs one stage; on success runmeta.json records its config, the
     digests of the artifacts it wrote and its environment, and then the
-    stage prints its summary."""
+    stage prints its summary. A stage that fails leaves the files of its
+    out dir as it found them."""
     start = time.perf_counter()
     commands = {"prep": cmd_prep, "select": cmd_select, "eval": cmd_eval}
     try:
         cfg = resolve_config(build_parser().parse_args(argv))
-        artifacts, summary, workers_peak = commands.get(
-            cfg["mode"], cmd_train)(cfg)
-        write_runmeta(Path(cfg["out_dir"]), cfg, artifacts,
-                      time.perf_counter() - start, workers_peak)
+        with Artifacts(Path(cfg["out_dir"])) as out:
+            summary, workers_peak = commands.get(cfg["mode"], cmd_train)(
+                cfg, out)
+            write_runmeta(out, cfg, time.perf_counter() - start,
+                          workers_peak)
         print_summary(summary)
         return EXIT_OK
     except (MissingInput, FileNotFoundError) as e:

@@ -36,13 +36,13 @@ def _activation_id(layer: int, n_layers: int) -> int:
     return SOFTMAX_ID if layer == n_layers - 1 else RELU_ID
 
 
-def save_model(model: ModelParams, path, loss_kind: str = LOSS_MAE):
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(_HEAD.pack(len(model.dims), _LOSS_IDS[loss_kind]))
-        for k, (in_d, out_d) in enumerate(model.dims):
-            f.write(_LAYER.pack(in_d, out_d, _activation_id(k, len(model.dims))))
-        f.write(model.buf.astype("<f4").tobytes())
+def save_model(model: ModelParams, f, loss_kind: str = LOSS_MAE):
+    """Writes ``model`` to the binary file ``f``."""
+    f.write(MAGIC)
+    f.write(_HEAD.pack(len(model.dims), _LOSS_IDS[loss_kind]))
+    for k, (in_d, out_d) in enumerate(model.dims):
+        f.write(_LAYER.pack(in_d, out_d, _activation_id(k, len(model.dims))))
+    f.write(model.buf.astype("<f4").tobytes())
 
 
 def load_model(path) -> tuple[ModelParams, str]:

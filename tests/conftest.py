@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fedmimic.modelio import save_model
+
 # synthetic NSL-KDD-shaped traffic for tests that don't need the real files
 
 PROTOCOLS = ["icmp", "tcp", "udp"]
@@ -54,6 +56,12 @@ def kdd_file(tmp_path):
         path.write_text("\n".join(make_kdd_lines(n=n, seed=seed)) + "\n")
         return path
     return write
+
+
+def write_model(model, path, loss_kind="mae"):
+    """Saves ``model`` to a new file at ``path``."""
+    with open(path, "wb") as f:
+        save_model(model, f, loss_kind)
 
 
 def toy_separable(n=200, d=4, seed=1, margin=1.0):

@@ -1,9 +1,12 @@
 import contextlib
+import errno
+import hashlib
 import io
 import json
 import math
 import os
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -13,16 +16,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmimic.cli import (DATA_ROOT_ENV, DEFAULTS, MINIMUM,
+from fedmimic import cli
+from fedmimic.cli import (DATA_ROOT_ENV, DEFAULTS, RANGES,
                           build_mimic_clients, build_parser, load_prep, main,
                           resolve_config, train_config, usable_cpus)
 from fedmimic.data import (FEATURE_NAMES, NOMINAL_FEATURES, NUM_FEATURES,
                            Dataset, load_attack_mapping)
 from fedmimic.fedsim import ClientShard, openblas_threads, run_fl
-from fedmimic.modelio import load_model, save_model
+from fedmimic.modelio import load_model
 from fedmimic.nn import init_model
 
-from conftest import make_kdd_lines
+from conftest import make_kdd_lines, write_model
 
 
 @pytest.fixture(scope="module")
@@ -275,7 +279,7 @@ class TestTextInputs:
     def test_undecodable_history_file_exit_5(self, workdir, tmp_path):
         _, _, test = load_prep(workdir, ("test",))
         model = tmp_path / "m.fmim"
-        save_model(init_model(test.X.shape[1], 3, seed=0), model)
+        write_model(init_model(test.X.shape[1], 3, seed=0), model)
         hist = tmp_path / "history.csv"
         hist.write_bytes(b"round,test_accuracy\n0,5\xff.0\n")
         rc, err = _run_main(["--mode", "eval", "--out-dir", str(workdir),
@@ -508,7 +512,7 @@ class TestDamagedPrep:
     def test_exit_5_naming_the_file(self, workdir, capsys, mode, case):
         from fedmimic.nn import init_model
         width = load_prep(workdir)[1].X.shape[1]
-        save_model(init_model(width, 3, 5, seed=0), workdir / "model.fmim")
+        write_model(init_model(width, 3, 5, seed=0), workdir / "model.fmim")
         name = _damage(workdir, case, "test" if mode == "eval" else "train")
         capsys.readouterr()
         argv = ["--mode", mode, "--out-dir", str(workdir)]
@@ -528,7 +532,7 @@ class TestDamagedPrep:
         with a line that says how to mend it."""
         from fedmimic.nn import init_model
         width = load_prep(workdir)[1].X.shape[1]
-        save_model(init_model(width, 3, 5, seed=0), workdir / "model.fmim")
+        write_model(init_model(width, 3, 5, seed=0), workdir / "model.fmim")
         assert np.load(workdir / f"{split}_X.npy").dtype == np.float32
         name = _damage(workdir, "float64_X", split)
         capsys.readouterr()
@@ -542,7 +546,7 @@ class TestDamagedPrep:
     def test_eval_reads_no_train_split(self, workdir, case):
         from fedmimic.nn import init_model
         width = load_prep(workdir)[1].X.shape[1]
-        save_model(init_model(width, 3, 5, seed=0), workdir / "model.fmim")
+        write_model(init_model(width, 3, 5, seed=0), workdir / "model.fmim")
         assert _damage(workdir, case).startswith("train_")
         assert main(["--mode", "eval", "--out-dir", str(workdir)]) == 0
         for ext in ("txt", "csv", "json"):
@@ -551,7 +555,7 @@ class TestDamagedPrep:
     def test_eval_without_train_split(self, workdir):
         from fedmimic.nn import init_model
         width = load_prep(workdir)[1].X.shape[1]
-        save_model(init_model(width, 3, 5, seed=0), workdir / "model.fmim")
+        write_model(init_model(width, 3, 5, seed=0), workdir / "model.fmim")
         (workdir / "train_X.npy").unlink()
         (workdir / "train_y.npy").unlink()
         assert main(["--mode", "eval", "--out-dir", str(workdir)]) == 0
@@ -585,7 +589,7 @@ class TestTrainModes:
                    "--dropout", "0.99999"])
         assert rc == 4
         err = capsys.readouterr().err.strip()
-        assert len(err.splitlines()) == 1 and "dropout_rate" in err
+        assert len(err.splitlines()) == 1 and "config key 'dropout'" in err
 
     def test_ftml_history_has_double_fit_count_of_fsml(self, workdir,
                                                        tmp_path):
@@ -654,7 +658,7 @@ class TestTrainModes:
         model, _ = run_fl([ClientShard(0, train)], test, rounds=1,
                           config=train_config(cfg), seed=cfg["seed"],
                           hidden=cfg["hidden"])
-        save_model(model, tmp_path / "direct.fmim", cfg["loss"])
+        write_model(model, tmp_path / "direct.fmim", cfg["loss"])
         assert (tmp_path / "direct.fmim").read_bytes() == \
                (workdir / "model.fmim").read_bytes()
 
@@ -864,15 +868,21 @@ class TestConfigFile:
                      "--config", str(cfg)]) == 4
 
 
+def _outside(key):
+    """Values of the config key's type outside its interval in RANGES."""
+    low, high, brackets = RANGES[key]
+    if isinstance(DEFAULTS[key], int):  # counts have no upper bound
+        return st.integers(max_value=low - 1)
+    below = low if brackets[0] == "(" else math.nextafter(low, -math.inf)
+    above = high if brackets[1] == ")" else math.nextafter(high, math.inf)
+    return (st.floats(max_value=below) | st.floats(min_value=above)
+            | st.just(math.nan))
+
+
 def _out_of_range():
     """(key, value) pairs outside the range check_ranges allows."""
-    counts = st.sampled_from(sorted(MINIMUM)).flatmap(
-        lambda key: st.tuples(st.just(key),
-                              st.integers(max_value=MINIMUM[key] - 1)))
-    lrs = st.tuples(st.just("lr"),
-                    st.floats(max_value=0.0) | st.sampled_from(
-                        [math.nan, math.inf, -math.inf]))
-    return counts | lrs
+    return st.sampled_from(sorted(RANGES)).flatmap(
+        lambda key: st.tuples(st.just(key), _outside(key)))
 
 
 class TestConfigRanges:
@@ -896,13 +906,17 @@ class TestConfigRanges:
         assert f"config key {key!r}" in err.getvalue()
 
     @pytest.mark.parametrize("key,val", [
-        ("loss", "bogus"), ("student_init", "bogus"), ("seed", -5)])
+        ("loss", "bogus"), ("student_init", "bogus"), ("seed", -5),
+        ("hidden", -3), ("batch", 0), ("epochs", -2), ("dropout", 3.0),
+        ("beta1", 5.0), ("beta2", 1.0), ("private_fraction", 7.0),
+        ("test_fraction", 0.0)])
     @pytest.mark.parametrize("mode", ["prep", "fl", "ftml"])
     @pytest.mark.parametrize("via_file", [False, True])
     def test_bad_value_exit_4_naming_key(self, tmp_path, key, val, mode,
                                          via_file):
-        """Each mode checks a file value as it checks the flag: a choice
-        outside its list and a negative seed exit 4 before any work."""
+        """Each mode checks a file value as it checks the flag, also of a
+        key it does not use: a choice outside its list and a number outside
+        its range exit 4 before any work."""
         out = tmp_path / "out"
         argv = ["--mode", mode, "--out-dir", str(out)]
         if via_file:
@@ -921,7 +935,9 @@ class TestConfigRanges:
         assert main(["--mode", "fl", "--out-dir", str(workdir),
                      "--rounds", "0", "--threads", "1", "--lr", "1e-9",
                      "--clients", "1", "--samples-per-client", "1",
-                     "--hidden", "4", "--epochs", "1"]) == 0
+                     "--hidden", "1", "--epochs", "0", "--batch", "1",
+                     "--dropout", str(1.0 - 2.0 ** -16), "--beta1", "0",
+                     "--beta2", "0", "--private-fraction", "1e-9"]) == 0
 
 
 JSON_VALUES = st.recursive(
@@ -1038,10 +1054,9 @@ class TestEval:
     ])
     def test_malformed_model_exit_5(self, workdir, tmp_path, capsys, case,
                                     message):
-        from fedmimic.modelio import save_model
         from fedmimic.nn import init_model
         good = tmp_path / "good.fmim"
-        save_model(init_model(4, 3, 5, seed=0), good)
+        write_model(init_model(4, 3, 5, seed=0), good)
         data = bytearray(good.read_bytes())
         # header: magic (5), layer count + loss id (5), then 9 bytes a layer
         if case == "header_cut_in_counts":
@@ -1075,7 +1090,7 @@ class TestEval:
         if case == "nan_weight":
             model.weights[1][0, 2] = np.nan
         bad = tmp_path / f"{case}.fmim"
-        save_model(model, bad)
+        write_model(model, bad)
         capsys.readouterr()
         assert main(["--mode", "eval", "--out-dir", str(workdir),
                      "--model-file", str(bad)]) == 5
@@ -1095,10 +1110,9 @@ class TestEval:
                     == (workdir / f"report.{ext}").read_bytes())
 
     def test_dimension_mismatch_exit_5(self, workdir, tmp_path):
-        from fedmimic.modelio import save_model
         from fedmimic.nn import init_model
         bad = tmp_path / "bad_dim.fmim"
-        save_model(init_model(3, 4, 5, seed=0), bad)
+        write_model(init_model(3, 4, 5, seed=0), bad)
         assert main(["--mode", "eval", "--out-dir", str(workdir),
                      "--model-file", str(bad)]) == 5
 
@@ -1116,7 +1130,7 @@ def fmim_case(prepped, tmp_path_factory):
     shutil.copytree(prepped / "out", out)
     width = load_prep(out, ("test",))[2].X.shape[1]
     model = init_model(width, 6, 5, seed=0)
-    save_model(model, out / "model.fmim")
+    write_model(model, out / "model.fmim")
     data = (out / "model.fmim").read_bytes()
     assert len(data) == FMIM_HEADER_BYTES + 4 * model.buf.size
     return out, data
@@ -1203,7 +1217,7 @@ class TestPathKinds:
             argv += ["--train-file", str(prepped / "train.txt")]
         if flag == "--history-file":
             width = load_prep(workdir)[1].X.shape[1]
-            save_model(init_model(width, 3, 5, seed=0), workdir / "model.fmim")
+            write_model(init_model(width, 3, 5, seed=0), workdir / "model.fmim")
         capsys.readouterr()
         assert main(argv) == 2
         err = capsys.readouterr().err.strip()
@@ -1252,3 +1266,97 @@ class TestPathKinds:
                      str(taken / "o")]) == 4
         err = capsys.readouterr().err.strip()
         assert err == f"error: --out-dir {taken / 'o'} is not a directory"
+
+
+def _snapshot(out: Path) -> dict:
+    """Every entry under ``out``, hidden ones included: its bytes, None for
+    a directory."""
+    return {str(p.relative_to(out)): None if p.is_dir() else p.read_bytes()
+            for p in sorted(out.rglob("*"))}
+
+
+def _fail_write(monkeypatch, name: str, exc: BaseException):
+    """Makes the write of artifact ``name`` put half its bytes into its
+    temporary file and then raise ``exc``."""
+    real = cli._HashingFile.write
+
+    def write(self, data):
+        if Path(self.f.name).name == f".{name}.tmp":
+            real(self, data[:len(data) // 2])
+            raise exc
+        return real(self, data)
+    monkeypatch.setattr(cli._HashingFile, "write", write)
+
+
+class TestArtifactWriter:
+    """A stage's files land together after its last write, runmeta.json
+    last; a stage that fails leaves its out dir as it found it."""
+
+    def test_unwritable_artifact_exit_4_leaves_earlier_files(self, workdir):
+        assert main(["--mode", "fl", "--out-dir", str(workdir)]
+                    + TRAIN_FLAGS) == 0
+        (workdir / "report.txt").unlink()
+        (workdir / "report.txt").mkdir()
+        before = _snapshot(workdir)
+        rc, err = _run_main(["--mode", "fl", "--out-dir", str(workdir)]
+                            + TRAIN_FLAGS + ["--seed", "2"])
+        assert rc == 4
+        assert err == (f"error: cannot write {workdir / 'report.txt'}: "
+                       f"{os.strerror(errno.EISDIR)}\n")
+        assert _snapshot(workdir) == before
+        for name in ("model.fmim", "history.csv", "runmeta.json"):
+            assert before[name]
+        assert not list(workdir.glob(".*"))
+
+    @pytest.mark.parametrize("mode, name", [("select", "pipeline.json"),
+                                            ("fl", "runmeta.json")])
+    def test_failed_write_exit_4_leaves_out_dir(self, workdir, monkeypatch,
+                                                mode, name):
+        before = _snapshot(workdir)
+        _fail_write(monkeypatch, name,
+                    OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
+        rc, err = _run_main(["--mode", mode, "--out-dir", str(workdir),
+                             "--k-features", "3", "--rfe-step", "25"]
+                            + (TRAIN_FLAGS if mode == "fl" else []))
+        assert rc == 4
+        assert err == (f"error: cannot write {workdir / name}: "
+                       f"{os.strerror(errno.ENOSPC)}\n")
+        assert _snapshot(workdir) == before
+
+    def test_interrupted_prep_leaves_out_dir(self, prepped, workdir,
+                                             monkeypatch):
+        before = _snapshot(workdir)
+        _fail_write(monkeypatch, "train_X.npy", KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            main(["--mode", "prep", "--train-file", str(prepped / "train.txt"),
+                  "--out-dir", str(workdir), "--seed", "2"])
+        assert _snapshot(workdir) == before
+
+    def test_digests_and_modes_describe_the_files(self, prepped, tmp_path):
+        """Each stage's runmeta.json digests are those of the files on disk,
+        whose modes are what a plain open gives."""
+        probe = tmp_path / "probe"
+        with open(probe, "wb"):
+            pass
+        mode = stat.S_IMODE(probe.stat().st_mode)
+        out = tmp_path / "out"
+        stages = [["--mode", "prep", "--train-file",
+                   str(prepped / "train.txt"), "--test-fraction", "0.2"],
+                  ["--mode", "select", "--k-features", "3", "--rfe-step", "25"],
+                  *(["--mode", m] + TRAIN_FLAGS
+                    for m in ("central", "fl", "ftml", "fsml")),
+                  ["--mode", "eval", "--history-file",
+                   str(tmp_path / "history.csv")]]
+        for argv in stages:
+            if argv[1] == "eval":
+                shutil.copy(out / "history.csv", tmp_path / "history.csv")
+            assert main(argv + ["--out-dir", str(out)]) == 0
+            digests = json.loads((out / "runmeta.json").read_text())[
+                "artifacts"]
+            assert digests and "runmeta.json" not in digests
+            for name, digest in digests.items():
+                assert hashlib.sha256((out / name).read_bytes()).hexdigest() \
+                    == digest, (argv[1], name)
+            for path in out.iterdir():
+                assert stat.S_IMODE(path.stat().st_mode) == mode, path
+            assert not list(out.glob(".*"))

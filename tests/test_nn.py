@@ -6,7 +6,7 @@ from fedmimic.nn import (AdamState, ModelParams, TrainConfig, adam_step,
                          to_one_hot, train_local)
 from fedmimic.nn import _forward_cached
 
-from conftest import toy_separable
+from conftest import toy_separable, write_model
 
 
 def models_equal(a, b):
@@ -331,7 +331,7 @@ class TestDtype:
     def test_every_array_keeps_the_model_dtype(self, dtype, tmp_path,
                                                monkeypatch):
         from fedmimic.fedsim import fedavg
-        from fedmimic.modelio import load_model, save_model
+        from fedmimic.modelio import load_model
         m = init_model(4, 8, 5, seed=0)
         assert m.buf.dtype == np.float32
         m = m.like(m.buf.astype(dtype))
@@ -360,7 +360,7 @@ class TestDtype:
 
         assert fedavg([m, trained], [1.0, 3.0]).buf.dtype == dtype
         path = tmp_path / "m.fmim"
-        save_model(trained, path)
+        write_model(trained, path)
         loaded, _ = load_model(path)
         assert loaded.buf.dtype == np.float32
         if dtype == np.float32:  # the file is the trained model, bit for bit
