@@ -256,13 +256,28 @@ class Artifacts:
     temporary file beside its name, ``.<name>.tmp``, and is hashed as it is
     written. When the ``with`` block ends without an exception, every file
     is renamed into place in the order written; otherwise, and after a
-    failed rename, the temporary files are removed. ``digests`` maps each
+    failed rename, the temporary files are removed, and so are the
+    directories ``make_dirs`` created, where empty. ``digests`` maps each
     name to its sha256. Files are not fsynced."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         self.digests: dict[str, str] = {}
         self._temps: dict[str, Path] = {}
+        self._made: list[Path] = []
+
+    def make_dirs(self) -> None:
+        """Creates the out dir and those of its parents that do not exist,
+        outermost first."""
+        missing = []
+        for d in (self.out_dir, *self.out_dir.parents):
+            if _exists(d):
+                break
+            missing.append(d)
+        for d in reversed(missing):
+            with _writing(d):
+                d.mkdir()
+            self._made.append(d)
 
     @contextlib.contextmanager
     def open(self, name: str):
@@ -292,9 +307,13 @@ class Artifacts:
                     with _writing(self.out_dir / name):
                         os.replace(tmp, self.out_dir / name)
                     del self._temps[name]
+                self._made.clear()
         finally:
             for tmp in self._temps.values():
                 tmp.unlink(missing_ok=True)
+            for d in reversed(self._made):
+                with contextlib.suppress(OSError):
+                    d.rmdir()
 
 
 def blas_build() -> dict:
@@ -405,8 +424,8 @@ def _exists(path: Path) -> bool:
 
 def cmd_prep(cfg: dict, out: Artifacts) -> StageResult:
     out_dir = out.out_dir
-    # checked here, created only once the inputs have parsed, so that a
-    # failed prep leaves no empty directory behind
+    # checked here, created only once the inputs have parsed; a prep that
+    # fails after that removes the directories it created
     try:
         existing = next(d for d in (out_dir, *out_dir.parents) if _exists(d))
     except (OSError, ValueError) as e:
@@ -428,7 +447,7 @@ def cmd_prep(cfg: dict, out: Artifacts) -> StageResult:
     train_X = apply_pipeline(pipeline, train)
     test_X = apply_pipeline(pipeline, test)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out.make_dirs()
     for name, array in (("train_X", train_X), ("train_y", train_y),
                         ("test_X", test_X), ("test_y", test_y)):
         with out.open(f"{name}.npy") as f:

@@ -1323,6 +1323,24 @@ class TestArtifactWriter:
                        f"{os.strerror(errno.ENOSPC)}\n")
         assert _snapshot(workdir) == before
 
+    @pytest.mark.parametrize("existing", ["", "fresh"])
+    def test_failed_prep_removes_the_directories_it_made(
+            self, prepped, tmp_path, monkeypatch, existing):
+        """A prep into fresh/o whose write fails removes the directories it
+        created, and only those."""
+        (tmp_path / existing).mkdir(exist_ok=True)
+        before = _snapshot(tmp_path)
+        _fail_write(monkeypatch, "manifest.json",
+                    OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
+        out = tmp_path / "fresh" / "o"
+        rc, err = _run_main(["--mode", "prep", "--train-file",
+                             str(prepped / "train.txt"), "--out-dir", str(out)])
+        assert rc == 4
+        assert err == (f"error: cannot write {out / 'manifest.json'}: "
+                       f"{os.strerror(errno.ENOSPC)}\n")
+        assert _snapshot(tmp_path) == before
+        assert (tmp_path / "fresh").is_dir() == bool(existing)
+
     def test_interrupted_prep_leaves_out_dir(self, prepped, workdir,
                                              monkeypatch):
         before = _snapshot(workdir)

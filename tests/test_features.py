@@ -83,9 +83,10 @@ class TestLogReg:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("targets", [1, 2])
-    def test_start_continues_a_fit(self, dtype, targets):
-        """30 epochs, then 20 from their weights and bias, are the 50
-        epochs of one fit, bit for bit."""
+    def test_start_continues_a_fit(self, monkeypatch, dtype, targets):
+        """Without momentum, 30 epochs, then 20 from their weights and bias,
+        are the 50 epochs of one fit, bit for bit."""
+        monkeypatch.setattr(features, "MOMENTUM", 0.0)
         X, y, _ = informative_matrix()
         X = X.astype(dtype)
         Y = y[:, None] if targets == 1 else np.stack([y, 1 - y], axis=1)
@@ -96,6 +97,20 @@ class TestLogReg:
         assert np.array_equal(rest[0], whole[0])
         assert np.array_equal(rest[1], whole[1])
         assert np.array_equal(first[0], kept)
+
+    def test_start_begins_at_zero_velocity(self):
+        """20 epochs from the weights and bias of 30 are 20 heavy-ball
+        epochs from those weights at zero velocity, not the last 20 of one
+        50-epoch fit."""
+        X, y, _ = informative_matrix()
+        first = fit(X, y[:, None], 30)
+        W, b = fit(X, y[:, None], 20, start=first)
+        sw = np.full(len(y), 1.0 / len(y))
+        w_ref, b_ref = reference_fit(X, y, sw, 20, first[0][0], first[1][0])
+        np.testing.assert_allclose(W[0], w_ref, rtol=1e-12, atol=1e-15)
+        assert b[0] == pytest.approx(b_ref, rel=1e-12)
+        whole = fit(X, y[:, None], 50)
+        assert not np.allclose(W, whole[0], rtol=1e-6, atol=0)
 
     def test_start_of_the_wrong_size_rejected(self):
         X, y, _ = informative_matrix()
@@ -215,7 +230,24 @@ class TestSelectUnion:
         assert set(mask) == set(picks)
 
 
-def reference_rfe(X, y, target_k, step, lr=0.1, epochs=200, warm=True):
+def reference_fit(X, y, sw, epochs, w, b, lr=0.1):
+    """Oracle: ``epochs`` of heavy-ball descent (features.MOMENTUM) on the
+    logistic loss of one target, weighted by ``sw`` (summing to 1), in
+    float64, from the weights ``w`` and bias ``b`` at zero velocity."""
+    w, b = np.array(w, dtype=np.float64), float(b)
+    v_w, v_b = np.zeros_like(w), 0.0
+    for _ in range(epochs):
+        p = 1.0 / (1.0 + np.exp(-np.clip(X @ w + b, -60.0, 60.0)))
+        err = (p - y) * sw
+        v_w = features.MOMENTUM * v_w + lr * (X.T @ err)
+        v_b = features.MOMENTUM * v_b + lr * err.sum()
+        w -= v_w
+        b -= v_b
+    return w, b
+
+
+def reference_rfe(X, y, target_k, step, lr=0.1,
+                  epochs=features.FIRST_EPOCHS, warm=True):
     """Oracle: the single-target fit-and-drop loop of one class, in float64.
     Warm, as select_union runs it: the first fit runs ``epochs`` from zero,
     and each later fit runs features.REFIT_EPOCHS from the last fit's
@@ -227,12 +259,7 @@ def reference_rfe(X, y, target_k, step, lr=0.1, epochs=200, warm=True):
     w, b = np.zeros(len(remaining)), 0.0
     fit_epochs = epochs
     while len(remaining) > target_k:
-        Xr = X[:, remaining]
-        for _ in range(fit_epochs):
-            p = 1.0 / (1.0 + np.exp(-np.clip(Xr @ w + b, -60.0, 60.0)))
-            err = (p - y) * sw
-            w -= lr * (Xr.T @ err)
-            b -= lr * err.sum()
+        w, b = reference_fit(X[:, remaining], y, sw, fit_epochs, w, b, lr)
         drop = min(step, len(remaining) - target_k)
         order = np.argsort(np.abs(w), kind="stable")
         for pos in sorted(order[:drop], reverse=True):
@@ -321,8 +348,8 @@ class TestWarmStart:
 
         monkeypatch.setattr(features, "fit_logreg", spy)
         select_union(X, y, k=3, step=4)    # fits at 18, 14, 10 and 6 left
-        C = features.REFIT_EPOCHS
-        assert [epochs for _, _, epochs, _, _ in fits] == [200, C, C, C]
+        F, C = features.FIRST_EPOCHS, features.REFIT_EPOCHS
+        assert [epochs for _, _, epochs, _, _ in fits] == [F, C, C, C]
         assert fits[0][3] is None          # fit_logreg starts at zero
         for (union0, _, _, _, last), (union, mask, _, start, _) in zip(
                 fits, fits[1:]):
@@ -377,6 +404,43 @@ def five_target_problem(n=400, d=18, seed=7):
     mask = np.ones((5, d))
     mask[1, :4] = mask[3, 10:] = 0
     return X, Y, sw, mask
+
+
+def kdd_problem(seed):
+    """(X, Y, sample weights, mask) of the class-balanced five-class fit
+    that select_union's first elimination runs on a 400-row one-hot
+    corpus through prep's pipeline, no column masked."""
+    records = parse_records(make_kdd_lines(n=400, seed=seed))
+    y = map_labels(records, load_attack_mapping())
+    X = apply_pipeline(fit_pipeline(records), records)
+    Y = np.stack([y == cls for cls in AttackClass], axis=1).astype(float)
+    sw = np.stack([inverse_frequency_weights(t) for t in Y.T], axis=1)
+    return X, Y, sw, np.ones((Y.shape[1], X.shape[1]))
+
+
+def weighted_logistic_loss(X, Y, sw, W, b):
+    """Each target's logistic loss, weighted by its column of ``sw``
+    normalised to sum to 1, in float64."""
+    z = X.astype(np.float64) @ W.T.astype(np.float64) + b
+    sw = sw / sw.sum(axis=0)
+    return (sw * (np.logaddexp(0.0, z) - Y * z)).sum(axis=0)
+
+
+class TestMomentum:
+    """Why the first fit can be short: FIRST_EPOCHS heavy-ball epochs end
+    lower on every target's loss than 200 epochs of plain descent."""
+
+    @pytest.mark.parametrize("problem", [
+        five_target_problem, lambda: kdd_problem(0), lambda: kdd_problem(1)],
+        ids=["five_target", "kdd_seed0", "kdd_seed1"])
+    def test_first_fit_beats_200_plain_epochs(self, monkeypatch, problem):
+        X, Y, sw, mask = problem()
+        fast = fit_logreg(X, Y, sw, mask, features.FIRST_EPOCHS)
+        monkeypatch.setattr(features, "MOMENTUM", 0.0)
+        plain = fit_logreg(X, Y, sw, mask, 200)
+        fast_loss = weighted_logistic_loss(X, Y, sw, *fast)
+        plain_loss = weighted_logistic_loss(X, Y, sw, *plain)
+        assert (fast_loss < plain_loss).all(), (fast_loss, plain_loss)
 
 
 class TestBlockedFit:
