@@ -3,7 +3,7 @@ training harness."""
 
 from .data import (AttackClass, Dataset, PreprocessPipeline, PublicSet,
                    apply_pipeline, fit_pipeline, map_labels, parse_records,
-                   select_columns, shard_clients, split_private_public)
+                   shard_clients, split_private_public)
 from .features import fit_logreg, rfe, select_union
 from .fedsim import ClientShard, RoundHistory, fedavg, run_fl
 from .metrics import EvalReport, confusion, overall_accuracy, per_class_metrics

@@ -26,8 +26,7 @@ from . import data as D
 from .data import (Dataset, ParseError, PreprocessPipeline, PublicSet,
                    Records, apply_pipeline, class_counts, fit_pipeline,
                    load_attack_mapping, map_labels, parse_records, read_text,
-                   select_columns, shard_clients, split_indices,
-                   split_private_public)
+                   shard_clients, split_indices, split_private_public)
 from .features import select_union
 from .fedsim import (TAG_MIMIC_POOL, TAG_PRIVATE_PUBLIC, TAG_PRIVATE_SHARDS,
                      ClientShard, derive_seed, openblas_threads, peak_rss_mb,
@@ -515,11 +514,11 @@ def _read_split(out_dir: Path, name: str, columns: int) -> Dataset:
 def load_prep(out_dir: Path, splits: tuple[str, ...] = ("train", "test"),
               selected: bool = True, digests: dict | None = None):
     """(pipeline, train, test) for the named ``splits``, a split not named
-    None. Each is cut to the feature mask if there is one; ``selected=False``
+    None. Each is cut to the feature mask unless it is null; ``selected=False``
     keeps every expanded column, the select stage's input. ``digests``, if
     given, gets the sha256 of the pipeline.json bytes read. A missing
     artifact raises MissingPrep (exit 3), a damaged one ParseError naming it
-    (exit 5)."""
+    (exit 5), a mask that from_json rejects included."""
     needed = ["pipeline.json", *(f"{name}_{part}.npy" for name in splits
                                  for part in "Xy")]
     missing = [n for n in needed if not os.path.exists(out_dir / n)]
@@ -537,20 +536,19 @@ def load_prep(out_dir: Path, splits: tuple[str, ...] = ("train", "test"),
     loaded = {}
     for name in splits:
         split = _read_split(out_dir, name, pipeline.expanded_dim)
-        if selected and pipeline.feature_mask:
-            try:
-                split = Dataset(select_columns(split.X, pipeline.feature_mask),
-                                split.y)
-            except ValueError as e:  # out of range or out of order
-                raise ParseError(f"{path}: {e}") from None
+        if selected and pipeline.feature_mask is not None:
+            split = Dataset(split.X[:, pipeline.feature_mask], split.y)
         loaded[name] = split
     return pipeline, loaded.get("train"), loaded.get("test")
 
 
 def cmd_select(cfg: dict, out: Artifacts) -> StageResult:
     pipeline, train, _ = load_prep(out.out_dir, ("train",), selected=False)
-    per_class = select_union(train.X, train.y, k=cfg["k_features"],
-                             step=cfg["rfe_step"])
+    k, dim = cfg["k_features"], pipeline.expanded_dim
+    if k > dim:
+        raise ValueError(f"config key 'k_features' must be in [1, {dim}], "
+                         f"the prep's expanded features, got {k}")
+    per_class = select_union(train.X, train.y, k=k, step=cfg["rfe_step"])
     pipeline.feature_mask = sorted(set().union(*per_class.values()))
     pipeline.per_class_features = per_class
     out.write_text("pipeline.json", pipeline.to_json())

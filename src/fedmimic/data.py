@@ -275,7 +275,9 @@ class PreprocessPipeline:
     def from_json(cls, text: str) -> "PreprocessPipeline":
         """Raises ValueError naming what makes ``text`` no pipeline: no JSON
         object, a missing key, vocabularies that are not one list per
-        nominal feature, or a feature mask that is not a list of ints."""
+        nominal feature, or a feature mask that is neither null (every
+        column) nor a non-empty, strictly increasing list of ints in
+        ``range(expanded_dim)``."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("not a JSON object")
@@ -287,12 +289,18 @@ class PreprocessPipeline:
                 and sorted(vocabs) == sorted(NOMINAL_FEATURES)
                 and all(isinstance(v, list) for v in vocabs.values())):
             raise ValueError("'vocabs' is not one list per nominal feature")
-        if mask is not None and not (isinstance(mask, list) and all(
-                type(i) is int for i in mask)):
-            raise ValueError("'feature_mask' is not null or a list of ints")
-        return cls(vocabs=vocabs, mins=np.asarray(doc["mins"]),
-                   maxs=np.asarray(doc["maxs"]), feature_mask=mask,
-                   per_class_features=doc["per_class_features"])
+        pipeline = cls(vocabs=vocabs, mins=np.asarray(doc["mins"]),
+                       maxs=np.asarray(doc["maxs"]), feature_mask=mask,
+                       per_class_features=doc["per_class_features"])
+        dim = pipeline.expanded_dim
+        if mask is not None and not (
+                isinstance(mask, list) and mask
+                and all(type(i) is int for i in mask)
+                and 0 <= mask[0] and mask[-1] < dim
+                and all(a < b for a, b in zip(mask, mask[1:]))):
+            raise ValueError(f"'feature_mask' is not null or a non-empty, "
+                             f"strictly increasing list of ints in [0, {dim})")
+        return pipeline
 
 
 def fit_pipeline(records: Records) -> PreprocessPipeline:
@@ -320,16 +328,6 @@ def apply_pipeline(pipeline: PreprocessPipeline, records: Records) -> np.ndarray
     first = _NOMINAL_IDX[0]
     return np.hstack([scaled[:, :first], *one_hot, scaled[:, first:]],
                      dtype=np.float32)
-
-
-def select_columns(matrix: np.ndarray, mask) -> np.ndarray:
-    mask = list(mask)
-    if any(m2 <= m1 for m1, m2 in zip(mask, mask[1:])):
-        raise ValueError("feature mask must be strictly increasing")
-    if mask and (mask[0] < 0 or mask[-1] >= matrix.shape[1]):
-        raise ValueError(f"feature mask index out of range for "
-                         f"{matrix.shape[1]} columns")
-    return matrix[:, mask]
 
 
 def split_indices(n: int, test_fraction: float = 0.10,

@@ -437,6 +437,26 @@ class TestSelect:
         assert main(["--mode", "select", "--out-dir", str(workdir),
                      "--k-features", "3", "--rfe-step", "25"]) == 0
 
+    def test_k_features_above_the_expanded_width_exit_4(self, workdir,
+                                                        capsys):
+        dim = load_prep(workdir, selected=False)[0].expanded_dim
+        capsys.readouterr()
+        assert main(["--mode", "select", "--out-dir", str(workdir),
+                     "--k-features", str(dim + 1)]) == 4
+        assert capsys.readouterr().err == (
+            f"error: config key 'k_features' must be in [1, {dim}], the "
+            f"prep's expanded features, got {dim + 1}\n")
+        assert main(["--mode", "select", "--out-dir", str(workdir),
+                     "--k-features", str(dim), "--rfe-step", "25"]) == 0
+        assert load_prep(workdir)[0].feature_mask == list(range(dim))
+
+    def test_load_prep_cuts_to_the_mask(self, workdir):
+        mask = json.loads((workdir / "pipeline.json").read_text())[
+            "feature_mask"]
+        X = np.load(workdir / "train_X.npy")
+        assert np.array_equal(load_prep(workdir)[1].X, X[:, mask])
+        assert np.array_equal(load_prep(workdir, selected=False)[1].X, X)
+
     def test_negative_k_features_exits_4_promptly(self, workdir):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(Path(__file__).parents[1] / "src"),
@@ -468,6 +488,8 @@ def _damage(out: Path, case: str, split: str = "train") -> str:
         return edit_pipeline(lambda doc: doc.pop("feature_mask"))
     if case == "mask_out_of_range":
         return edit_pipeline(lambda doc: doc["feature_mask"].append(10 ** 6))
+    if case == "empty_mask":
+        return edit_pipeline(lambda doc: doc["feature_mask"].clear())
     if case == "X_all_nan":
         return edit_npy(f"{split}_X.npy", lambda X: np.full_like(X, np.nan))
     if case == "X_missing_a_column":
@@ -495,20 +517,17 @@ def _damage(out: Path, case: str, split: str = "train") -> str:
 # pipeline.json and the test split: there they hit the test split
 ARRAY_DAMAGES = ["y_shorter_than_X", "X_all_nan", "float_labels",
                  "float64_X", "truncated_npy", "object_npy"]
-DAMAGES = [*ARRAY_DAMAGES, "no_feature_mask", "train_label_9",
-           "unparsable_pipeline"]
-# select reads no test split and replaces the feature mask, so these damages
-# show only in fl and eval
-MASK_AND_TEST_DAMAGES = ["mask_out_of_range", "X_missing_a_column",
-                         "test_label_9"]
+DAMAGES = [*ARRAY_DAMAGES, "no_feature_mask", "mask_out_of_range",
+           "empty_mask", "train_label_9", "unparsable_pipeline"]
+# select reads no test split, so these damages show only in fl and eval
+TEST_DAMAGES = ["X_missing_a_column", "test_label_9"]
 
 
 class TestDamagedPrep:
     @pytest.mark.parametrize("mode,case", [
         *((mode, case) for mode in ("select", "fl") for case in DAMAGES),
         *(("eval", case) for case in DAMAGES if case != "train_label_9"),
-        *((mode, case) for mode in ("fl", "eval")
-          for case in MASK_AND_TEST_DAMAGES)])
+        *((mode, case) for mode in ("fl", "eval") for case in TEST_DAMAGES)])
     def test_exit_5_naming_the_file(self, workdir, capsys, mode, case):
         from fedmimic.nn import init_model
         width = load_prep(workdir)[1].X.shape[1]

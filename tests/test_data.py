@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,9 +11,8 @@ from fedmimic.data import (FEATURE_NAMES, NOMINAL_FEATURES, AttackClass,
                            Dataset, ParseError, PreprocessPipeline,
                            UnknownLabelError, apply_pipeline, class_counts,
                            fit_pipeline, load_attack_mapping, map_labels,
-                           parse_records, select_columns, shard_clients,
-                           split_indices, split_private_public)
-from fedmimic.nn import init_model
+                           parse_records, shard_clients, split_indices,
+                           split_private_public)
 
 from conftest import make_kdd_lines
 
@@ -366,29 +366,39 @@ def test_numeric_field_accepted_exactly_when_float_accepts(j, text):
     assert same_bits(recs.numeric[1, j - 3], np.float64(expected))
 
 
-class TestSelectColumns:
-    def test_identity_mask(self):
-        X = np.arange(12.0).reshape(4, 3)
-        assert np.array_equal(select_columns(X, [0, 1, 2]), X)
+class TestFeatureMask:
+    """PreprocessPipeline.from_json is the one check of a feature mask: null
+    keeps every column, anything else must be a non-empty, strictly
+    increasing list of ints in range(expanded_dim)."""
 
-    def test_projection(self):
-        X = np.arange(12.0).reshape(4, 3)
-        assert np.array_equal(select_columns(X, [0, 2]), X[:, [0, 2]])
+    @staticmethod
+    def _text(mask_of_dim) -> tuple[str, int]:
+        pipe = fit_pipeline(_toy_records())
+        doc = json.loads(pipe.to_json())
+        doc["feature_mask"] = mask_of_dim(pipe.expanded_dim)
+        return json.dumps(doc), pipe.expanded_dim
 
-    def test_empty_mask_then_model_rejects(self):
-        X = np.ones((4, 3))
-        out = select_columns(X, [])
-        assert out.shape == (4, 0)
-        with pytest.raises(ValueError):
-            init_model(out.shape[1], 8, 5, seed=0)
+    @pytest.mark.parametrize("mask_of_dim", [
+        lambda dim: None, lambda dim: [0], lambda dim: [dim - 1],
+        lambda dim: list(range(dim))],
+        ids=["null", "first_column", "last_column", "every_column"])
+    def test_round_trip(self, mask_of_dim):
+        text, dim = self._text(mask_of_dim)
+        pipe = PreprocessPipeline.from_json(text)
+        assert pipe.feature_mask == mask_of_dim(dim)
+        assert json.loads(pipe.to_json()) == json.loads(text)
 
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            select_columns(np.ones((2, 3)), [0, 5])
-
-    def test_not_increasing(self):
-        with pytest.raises(ValueError):
-            select_columns(np.ones((2, 3)), [2, 1])
+    @pytest.mark.parametrize("mask_of_dim", [
+        lambda dim: [], lambda dim: [3, 0], lambda dim: [0, 3, 3],
+        lambda dim: [-1, 3], lambda dim: [0, dim], lambda dim: [0, True]],
+        ids=["empty", "unsorted", "duplicate", "negative", "at_expanded_dim",
+             "true_entry"])
+    def test_rejected(self, mask_of_dim):
+        text, dim = self._text(mask_of_dim)
+        with pytest.raises(ValueError, match=(
+                rf"^'feature_mask' is not null or a non-empty, strictly "
+                rf"increasing list of ints in \[0, {dim}\)$")):
+            PreprocessPipeline.from_json(text)
 
 
 class TestSplits:
