@@ -78,7 +78,7 @@ DEFAULTS = {
     "rfe_step": 5,
     "private_fraction": 0.6,
     "student_init": "warm",
-    "threads": usable_cpus(),  # fedsim._client_map caps it at the clients
+    "threads": usable_cpus(),  # cmd_train caps it at the usable CPUs
     "hidden": 256,
     "test_fraction": 0.1,
     "official_split": False,
@@ -114,8 +114,10 @@ FLAG_HELP = {
     "per_user_public": "give each mimic client its own public shard",
     "mimic_full_data": "mimic pool = whole training set instead of "
                        "clients x samples-per-client",
+    "student_init": "where each FTML student starts a round: its own last "
+                    "student or the global model (mode=ftml)",
     "threads": "client training worker processes (default: the usable "
-               "CPUs; never more than the clients)",
+               "CPUs; never more than the clients or the usable CPUs)",
 }
 
 
@@ -590,6 +592,8 @@ def cmd_train(cfg: dict, out: Artifacts) -> StageResult:
     _, train, test = load_prep(out.out_dir, digests=out.digests)
     tc = train_config(cfg)
     mode, seed = cfg["mode"], cfg["seed"]
+    # _client_map forks what it is asked for, up to the clients
+    threads = min(cfg["threads"], usable_cpus())
 
     if mode == "central":  # one client holding the whole train set, one round
         model, history = run_fl([ClientShard(0, train)], test, rounds=1,
@@ -599,16 +603,16 @@ def cmd_train(cfg: dict, out: Artifacts) -> StageResult:
             shard_clients(train, cfg["clients"], cfg["samples_per_client"],
                           seed))]
         model, history = run_fl(shards, test, cfg["rounds"], tc, seed,
-                                hidden=cfg["hidden"], threads=cfg["threads"])
+                                hidden=cfg["hidden"], threads=threads)
     elif mode == "ftml":
         model, history = run_ftml(build_mimic_clients(train, cfg), test,
                                   cfg["rounds"], tc, seed, hidden=cfg["hidden"],
                                   student_init=cfg["student_init"],
-                                  threads=cfg["threads"])
+                                  threads=threads)
     else:
         model, history = run_fsml(
             build_mimic_clients(train, cfg), test, cfg["rounds"], tc, seed,
-            hidden=cfg["hidden"], threads=cfg["threads"])
+            hidden=cfg["hidden"], threads=threads)
 
     with out.open("model.fmim") as f:
         save_model(model, f, tc.loss)

@@ -24,7 +24,6 @@ from .nn import ModelParams, TrainConfig, init_model, predict, train_local
 TAG_INIT = 0
 TAG_CLIENT = 1
 TAG_TEACHER = 2
-TAG_STUDENT_INIT = 3
 TAG_MIMIC_POOL = 10      # the rows drawn into the mimic pool
 TAG_PRIVATE_PUBLIC = 11  # the pool's private/public split
 TAG_PRIVATE_SHARDS = 12  # the private rows' client shards

@@ -10,12 +10,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, PublicSet
-from .fedsim import (TAG_CLIENT, TAG_STUDENT_INIT, TAG_TEACHER, RoundHistory,
-                     derive_seed, run_rounds, sort_clients)
+from .fedsim import (TAG_CLIENT, TAG_TEACHER, RoundHistory, derive_seed,
+                     run_rounds, sort_clients)
 from .metrics import pseudo_label_agreement  # re-exported
-from .nn import ModelParams, TrainConfig, init_model, predict, train_local
+from .nn import ModelParams, TrainConfig, predict, train_local
 
-STUDENT_INIT_POLICIES = ("warm", "global", "fresh")
+STUDENT_INIT_POLICIES = ("warm", "global")
 
 
 @dataclass
@@ -41,56 +41,51 @@ def _teach(config: TrainConfig, seed: int, global_model: ModelParams,
     return label_public(teacher, client.public.X)
 
 
+def _run_mimic(clients: list[MimicClient], test: Dataset, rounds: int,
+               config: TrainConfig | None, seed: int, hidden: int,
+               threads: int, refit_teachers: bool, warm_students: bool,
+               ) -> tuple[ModelParams, RoundHistory]:
+    """Both mimic regimes' rounds. Per client, the teacher fits on the private
+    shard from the global model, every round (``refit_teachers``) or in round
+    0 only, and labels the public set; the student fits on those labels from
+    the client's last student (``warm_students``) or the global model."""
+    config = config or TrainConfig()
+
+    def step(global_model, client, rnd, prev):
+        pseudo = (_teach(config, seed, global_model, client, rnd)
+                  if refit_teachers or prev is None else prev[2])
+        s0 = prev[0] if warm_students and prev is not None else global_model
+        s_cfg = replace(config, seed=derive_seed(seed, TAG_CLIENT,
+                                                 client.client_id, rnd))
+        student, losses = train_local(s0, client.public.X, pseudo, s_cfg)
+        return student, losses, pseudo
+
+    return run_rounds(sort_clients(clients), step, test, rounds, seed, hidden,
+                      threads, fits_per_client=2 if refit_teachers else 1)
+
+
 def run_ftml(clients: list[MimicClient], test: Dataset, rounds: int = 20,
              config: TrainConfig | None = None, seed: int = 0,
              hidden: int = 256, student_init: str = "warm",
              threads: int = 1) -> tuple[ModelParams, RoundHistory]:
-    """Federated teacher mimic learning. Each round, per client: the teacher
-    retrains from the averaged global on private data, relabels the public
-    set, and the student trains on those pseudo-labels; the server averages
-    the students. Two local fits per client per round."""
+    """Federated teacher mimic learning: every round each client's teacher
+    refits from the averaged global model and relabels the public set. The
+    student starts from the client's last student (``"warm"``) or from the
+    global model (``"global"``). Two local fits per client per round."""
     if student_init not in STUDENT_INIT_POLICIES:
         raise ValueError(f"unknown student_init policy {student_init!r}")
-    clients = sort_clients(clients)
-    config = config or TrainConfig()
-
-    def step(global_model, client, rnd, prev):
-        cid = client.client_id
-        pseudo = _teach(config, seed, global_model, client, rnd)
-        if student_init == "warm":  # last round's student
-            s0 = global_model if prev is None else prev[0]
-        elif student_init == "global":
-            s0 = global_model
-        else:
-            s0 = init_model(global_model.input_dim, hidden,
-                            seed=derive_seed(seed, TAG_STUDENT_INIT, cid, rnd))
-        s_cfg = replace(config, seed=derive_seed(seed, TAG_CLIENT, cid, rnd))
-        student, losses = train_local(s0, client.public.X, pseudo, s_cfg)
-        return student, losses, pseudo
-
-    return run_rounds(clients, step, test, rounds, seed, hidden, threads,
-                      fits_per_client=2)
+    return _run_mimic(clients, test, rounds, config, seed, hidden, threads,
+                      refit_teachers=True,
+                      warm_students=student_init == "warm")
 
 
 def run_fsml(clients: list[MimicClient], test: Dataset, rounds: int = 20,
              config: TrainConfig | None = None, seed: int = 0,
              hidden: int = 256, threads: int = 1,
              ) -> tuple[ModelParams, RoundHistory]:
-    """Federated student mimic learning. Teachers train once, in round 0, and
-    their pseudo-labels are frozen; each round the student trains from the
-    current global on them. One local fit per client per round, plus one
-    teacher fit per client in round 0."""
-    clients = sort_clients(clients)
-    config = config or TrainConfig()
-
-    def step(global_model, client, rnd, prev):
-        # the teacher's labels of round 0, frozen
-        pseudo = (_teach(config, seed, global_model, client, 0) if prev is None
-                  else prev[2])
-        cfg = replace(config, seed=derive_seed(seed, TAG_CLIENT,
-                                               client.client_id, rnd))
-        student, losses = train_local(global_model, client.public.X, pseudo,
-                                      cfg)
-        return student, losses, pseudo
-
-    return run_rounds(clients, step, test, rounds, seed, hidden, threads)
+    """Federated student mimic learning: FTML's step with each teacher fitted
+    once, in round 0, its labels frozen, and every student started from the
+    global model. One local fit per client per round, plus one teacher fit
+    per client in round 0."""
+    return _run_mimic(clients, test, rounds, config, seed, hidden, threads,
+                      refit_teachers=False, warm_students=False)

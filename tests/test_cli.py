@@ -689,13 +689,15 @@ class TestTrainModes:
         assert meta["config"]["epochs"] == 2
         assert len(meta["artifacts"]["model.fmim"]) == 64
 
-    def test_runmeta_records_the_environment(self, workdir):
+    def test_runmeta_records_the_environment(self, workdir, monkeypatch):
+        # two usable CPUs whatever the host, so that two workers run
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
         assert main(["--mode", "fl", "--out-dir", str(workdir), "--threads",
                      "2"] + TRAIN_FLAGS) == 0
         env = json.loads((workdir / "runmeta.json").read_text())["environment"]
         assert env["numpy"] == np.__version__
         assert set(env["blas"]) == {"name", "version"}
-        assert env["usable_cpus"] == usable_cpus() >= 1
+        assert env["usable_cpus"] == 2
         assert env["OPENBLAS_NUM_THREADS"] == os.environ.get(
             "OPENBLAS_NUM_THREADS")
         assert env["OMP_NUM_THREADS"] == os.environ.get("OMP_NUM_THREADS")
@@ -707,6 +709,23 @@ class TestTrainModes:
         else:
             assert env["peak_rss_mb"] is None
         assert 1 < env["workers_peak_rss_mb"] < 4096  # 2 workers joined
+
+    def test_threads_capped_at_the_usable_cpus(self, workdir, tmp_path,
+                                               monkeypatch):
+        """More --threads than usable CPUs start no more workers than the
+        CPUs: with one CPU, none, and the files of --threads 1."""
+        other = tmp_path / "one"
+        shutil.copytree(workdir, other)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 1)
+        assert main(["--mode", "fl", "--out-dir", str(workdir), "--threads",
+                     "4"] + TRAIN_FLAGS) == 0
+        assert main(["--mode", "fl", "--out-dir", str(other), "--threads",
+                     "1"] + TRAIN_FLAGS) == 0
+        metas = [json.loads((d / "runmeta.json").read_text())
+                 for d in (workdir, other)]
+        assert metas[0]["environment"]["threads"] == 4
+        assert metas[0]["environment"]["workers_peak_rss_mb"] is None
+        assert metas[0]["artifacts"] == metas[1]["artifacts"]
 
     def test_no_workers_peak_when_clients_train_in_process(self, workdir):
         assert main(["--mode", "fl", "--out-dir", str(workdir), "--threads",
@@ -925,7 +944,8 @@ class TestConfigRanges:
         assert f"config key {key!r}" in err.getvalue()
 
     @pytest.mark.parametrize("key,val", [
-        ("loss", "bogus"), ("student_init", "bogus"), ("seed", -5),
+        ("loss", "bogus"), ("student_init", "bogus"),
+        ("student_init", "fresh"), ("seed", -5),
         ("hidden", -3), ("batch", 0), ("epochs", -2), ("dropout", 3.0),
         ("beta1", 5.0), ("beta2", 1.0), ("private_fraction", 7.0),
         ("test_fraction", 0.0)])

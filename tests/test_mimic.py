@@ -109,16 +109,16 @@ class TestFtml:
         clients = make_clients()
         test = Dataset(*toy_separable(20, seed=9))
         outs = {}
-        for policy in ("warm", "global", "fresh"):
+        for policy in ("warm", "global"):
             outs[policy], _ = run_ftml(clients, test, rounds=2, config=FAST,
                                        seed=7, hidden=6, student_init=policy)
-        assert not models_equal(outs["warm"], outs["fresh"])
         assert not models_equal(outs["warm"], outs["global"])
 
     def test_bad_policy_rejected(self):
-        with pytest.raises(ValueError):
-            run_ftml(make_clients(), Dataset(*toy_separable(10)), rounds=1,
-                     student_init="psychic")
+        for policy in ("psychic", "fresh"):
+            with pytest.raises(ValueError, match="unknown student_init"):
+                run_ftml(make_clients(), Dataset(*toy_separable(10)),
+                         rounds=1, student_init=policy)
 
     def test_empty_clients_rejected(self):
         with pytest.raises(ValueError):
@@ -157,6 +157,19 @@ class TestFsml:
         assert taught == [] and history.rounds == []
         assert models_equal(model, init_model(4, 6, 5,
                                               seed=derive_seed(4, TAG_INIT)))
+
+    def test_is_ftml_with_global_students_and_round_0_teachers(self):
+        """One round of FSML is one round of FTML from the global model; at
+        two rounds they part, because FTML's teachers refit in round 1 (at
+        this seed the refit teachers' labels change)."""
+        clients = make_clients()
+        test = Dataset(*toy_separable(20, seed=9))
+        for rounds, same in ((1, True), (2, False)):
+            m_fsml, _ = run_fsml(clients, test, rounds=rounds, config=FAST,
+                                 seed=1, hidden=6)
+            m_ftml, _ = run_ftml(clients, test, rounds=rounds, config=FAST,
+                                 seed=1, hidden=6, student_init="global")
+            assert models_equal(m_fsml, m_ftml) == same
 
     def test_per_round_cost_is_half_of_ftml(self):
         clients = make_clients(num_clients=3)
