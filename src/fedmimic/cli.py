@@ -15,7 +15,6 @@ import hashlib
 import json
 import math
 import os
-import re
 import sys
 import time
 from pathlib import Path
@@ -24,13 +23,13 @@ import numpy as np
 
 from . import data as D
 from .data import (Dataset, ParseError, PreprocessPipeline, PublicSet,
-                   Records, apply_pipeline, class_counts, fit_pipeline,
-                   load_attack_mapping, map_labels, parse_records, read_text,
-                   shard_clients, split_indices, split_private_public)
+                   Records, apply_pipeline, class_counts, first_undecodable,
+                   fit_pipeline, load_attack_mapping, map_labels,
+                   parse_records, read_text, shard_clients, split_indices,
+                   split_private_public)
 from .features import select_union
 from .fedsim import (TAG_MIMIC_POOL, TAG_PRIVATE_PUBLIC, TAG_PRIVATE_SHARDS,
-                     ClientShard, derive_seed, openblas_threads, peak_rss_mb,
-                     run_fl)
+                     derive_seed, openblas_threads, peak_rss_mb, run_fl)
 from .metrics import confusion, per_class_metrics
 from .mimic import STUDENT_INIT_POLICIES, MimicClient, run_fsml, run_ftml
 from .modelio import ModelFormatError, load_model, save_model
@@ -174,8 +173,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if args.config:
         path = input_file(args.config, "config file")
         try:
-            file_cfg = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as e:  # not UTF-8, or not JSON
+            file_cfg = json.loads(read_text(path))
+        except ParseError as e:  # not UTF-8; names the file and the line
+            raise ValueError(f"config file {e}") from None
+        except ValueError as e:  # not JSON
             raise ValueError(f"config file {path}: {e}") from None
         if not isinstance(file_cfg, dict):
             raise ValueError(f"config file {path} must hold a JSON object")
@@ -372,20 +373,9 @@ def read_labelled(path: Path, mapping: dict) -> tuple[Records, np.ndarray]:
             raise ParseError("no records")
         return records, map_labels(records, mapping)
     except UnicodeDecodeError:
-        raise ParseError(f"{path}: {_first_undecodable(path)}") from None
+        raise ParseError(f"{path}: {first_undecodable(path, 'row')}") from None
     except ParseError as e:
         raise type(e)(f"{path}: {e}") from None
-
-
-def _first_undecodable(path: Path) -> str:
-    """``row N: byte 0xXX is not UTF-8`` for the first such byte of a file
-    that holds one, its rows numbered as parse_records numbers them."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as f:
-        for i, line in enumerate(f, start=1):
-            bad = re.search("[\udc80-\udcff]", line)
-            if bad:
-                return (f"row {i}: byte 0x{ord(bad[0]) - 0xdc00:02x} is not "
-                        f"UTF-8")
 
 
 def read_split(cfg: dict, train_path: Path, test_path: Path | None):
@@ -502,12 +492,14 @@ def _read_split(out_dir: Path, name: str, columns: int) -> Dataset:
     if X.ndim != 2 or X.shape[1] != columns or X.dtype != np.float32:
         raise ParseError(f"{x_path}: {X.dtype} array of shape {X.shape} is "
                          f"not a float32 matrix of {columns} columns")
+    if not len(X):
+        raise ParseError(f"{x_path}: no rows")
     if not np.isfinite(X).all():
         raise ParseError(f"{x_path}: non-finite values")
     if y.ndim != 1 or y.dtype.kind not in "iu" or len(y) != len(X):
         raise ParseError(f"{y_path}: {y.dtype} array of shape {y.shape} is "
                          f"not {len(X)} integer labels")
-    if len(y) and (y.min() < 0 or y.max() >= len(D.AttackClass)):
+    if y.min() < 0 or y.max() >= len(D.AttackClass):
         raise ParseError(f"{y_path}: labels outside 0-"
                          f"{len(D.AttackClass) - 1}")
     return Dataset(X, y)
@@ -576,15 +568,14 @@ def build_mimic_clients(train: Dataset, cfg: dict) -> list[MimicClient]:
     shards = shard_clients(private, n_clients, per_client,
                            derive_seed(seed, TAG_PRIVATE_SHARDS))
     if not cfg["per_user_public"]:
-        return [MimicClient(cid, shard, public)
-                for cid, shard in enumerate(shards)]
+        return [MimicClient(shard, public) for shard in shards]
     chunk = len(public) // n_clients
     if chunk < 1:
         raise ValueError(f"public pool too small for {n_clients} clients")
     truth = public.truth_for_diagnostics()
     cuts = [slice(c * chunk, (c + 1) * chunk) for c in range(n_clients)]
-    return [MimicClient(cid, shard, PublicSet(public.X[sl], truth[sl]))
-            for cid, (shard, sl) in enumerate(zip(shards, cuts))]
+    return [MimicClient(shard, PublicSet(public.X[sl], truth[sl]))
+            for shard, sl in zip(shards, cuts)]
 
 
 def cmd_train(cfg: dict, out: Artifacts) -> StageResult:
@@ -596,12 +587,11 @@ def cmd_train(cfg: dict, out: Artifacts) -> StageResult:
     threads = min(cfg["threads"], usable_cpus())
 
     if mode == "central":  # one client holding the whole train set, one round
-        model, history = run_fl([ClientShard(0, train)], test, rounds=1,
+        model, history = run_fl([train], test, rounds=1,
                                 config=tc, seed=seed, hidden=cfg["hidden"])
     elif mode == "fl":
-        shards = [ClientShard(cid, d) for cid, d in enumerate(
-            shard_clients(train, cfg["clients"], cfg["samples_per_client"],
-                          seed))]
+        shards = shard_clients(train, cfg["clients"],
+                               cfg["samples_per_client"], seed)
         model, history = run_fl(shards, test, cfg["rounds"], tc, seed,
                                 hidden=cfg["hidden"], threads=threads)
     elif mode == "ftml":

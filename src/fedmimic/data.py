@@ -4,6 +4,7 @@ and the seeded splits (train/test, client shards, private/public)."""
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field, fields
 from enum import IntEnum
 from importlib import resources
@@ -179,14 +180,25 @@ def parse_records(lines) -> Records:
                    values[:, NUM_NUMERIC], np.array(rows, dtype=np.int64))
 
 
+def first_undecodable(path, unit: str = "line") -> str:
+    """``<unit> N: byte 0xXX is not UTF-8`` for the first such byte of a file
+    that holds one, its lines numbered from 1."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        for i, line in enumerate(f, start=1):
+            bad = re.search("[\udc80-\udcff]", line)
+            if bad:
+                return (f"{unit} {i}: byte 0x{ord(bad[0]) - 0xdc00:02x} is "
+                        f"not UTF-8")
+
+
 def read_text(path) -> str:
     """A text file's contents, read as UTF-8; a byte that does not decode
-    raises ParseError naming the file."""
+    raises ParseError naming the file and the byte's line."""
     try:
         with open(path, encoding="utf-8") as f:
             return f.read()
-    except UnicodeDecodeError as e:
-        raise ParseError(f"{path}: {e}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: {first_undecodable(path)}") from None
 
 
 def load_attack_mapping(path=None) -> dict[str, AttackClass]:

@@ -12,13 +12,11 @@ survive and runs REFIT_EPOCHS more. Every fit's velocity starts at zero."""
 
 from __future__ import annotations
 
-import logging
+import sys
 
 import numpy as np
 
 from .data import AttackClass
-
-log = logging.getLogger(__name__)
 
 # bytes of the training matrix in one BLAS call of a fit_logreg epoch. On a
 # 2-vCPU host with one BLAS thread, a select_union of 10,000 x 122 (k 20,
@@ -187,9 +185,9 @@ def select_union(X: np.ndarray, labels: np.ndarray, k: int = 20,
     sorted union of the five lists."""
     labels = np.asarray(labels)
     targets = np.stack([labels == cls for cls in AttackClass])
-    for cls, target in zip(AttackClass, targets):
-        if not target.any():
-            log.warning("class %s absent from labels; RFE runs on an all-zero "
-                        "target", cls.name)
+    absent = [cls.name for cls, t in zip(AttackClass, targets) if not t.any()]
+    if absent:
+        print(f"warning: classes absent from labels, each an all-zero RFE "
+              f"target: {', '.join(absent)}", file=sys.stderr)
     kept = rfe(X, targets, k, step)
     return {cls.name: cols for cls, cols in zip(AttackClass, kept)}

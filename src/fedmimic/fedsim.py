@@ -1,8 +1,9 @@
-"""Simulated federated learning: client shards, federated averaging, the
-round loop every regime shares, the one context manager that runs client
-steps in this process or in forked worker processes, and plain FL. No
-transport, no stragglers; results do not depend on where the steps ran
-(per-client seeds, id-ordered averaging)."""
+"""Simulated federated learning: federated averaging, the round loop every
+regime shares, the one context manager that runs client steps in this
+process or in forked worker processes, and plain FL. A client is its
+position in the caller's list. No transport, no stragglers; results do not
+depend on where the steps ran (per-client seeds, client-ordered
+averaging)."""
 
 from __future__ import annotations
 
@@ -35,16 +36,10 @@ def derive_seed(*parts: int) -> int:
 
 
 @dataclass
-class ClientShard:
-    client_id: int
-    data: Dataset
-
-
-@dataclass
 class RoundRecord:
     round: int
     test_accuracy: float
-    client_losses: dict[int, float]
+    client_losses: list[float]  # in client order
     local_fits: int
     pseudo_agreement: float | None = None
 
@@ -59,18 +54,18 @@ class RoundHistory:
     def to_csv(self) -> str:
         if not self.rounds:
             return "round,test_accuracy,local_fits\n"
-        ids = sorted(self.rounds[0].client_losses)
         mimic = self.rounds[0].pseudo_agreement is not None
         cols = ["round", "test_accuracy", "local_fits"]
         if mimic:
             cols.append("pseudo_agreement")
-        cols += [f"loss_client_{c}" for c in ids]
+        cols += [f"loss_client_{c}"
+                 for c in range(len(self.rounds[0].client_losses))]
         lines = [",".join(cols)]
         for r in self.rounds:
             row = [str(r.round), f"{r.test_accuracy:.4f}", str(r.local_fits)]
             if mimic:
                 row.append(f"{r.pseudo_agreement:.4f}")
-            row += [f"{r.client_losses[c]:.6f}" for c in ids]
+            row += [f"{loss:.6f}" for loss in r.client_losses]
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
 
@@ -173,9 +168,9 @@ class _RemoteTraceback(Exception):
         return self.args[0]
 
 
-def _serve(conn, step, clients):
-    """A worker's loop: for each ``(i, global_model, rnd, prev)`` received,
-    ``step(global_model, clients[i], rnd, prev)`` sent back, or its failure.
+def _serve(conn, step):
+    """A worker's loop: for each ``(c, global_model, rnd, prev)`` received,
+    ``step(global_model, c, rnd, prev)`` sent back, or its failure.
     Stops on None, after sending back its peak_rss_mb(), or when the main
     process is gone."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the main process handles ^C
@@ -190,21 +185,21 @@ def _serve(conn, step, clients):
         if msg is None:
             conn.send(peak_rss_mb())
             return
-        i, global_model, rnd, prev = msg
+        c, global_model, rnd, prev = msg
         try:
-            reply = step(global_model, clients[i], rnd, prev)
+            reply = step(global_model, c, rnd, prev)
         except Exception as e:
             reply = _Failure(e, traceback.format_exc())
         conn.send(reply)
 
 
 @contextmanager
-def _client_map(step, clients: list, threads: int):
+def _client_map(step, clients: int, threads: int):
     """Yields ``(map, peaks)``. ``map(global_model, rnd, prevs)`` returns
-    every client's ``step(global_model, client, rnd, prev)`` in client order,
-    or raises the first failing client's exception in that order, as the
-    serial loop would; ``peaks`` gets the workers' peak memory (MB) on a
-    clean exit, and stays empty when none ran.
+    ``step(global_model, c, rnd, prevs[c])`` for each ``c`` in
+    ``range(clients)``, in that order, or raises the first failing client's
+    exception in that order, as the serial loop would; ``peaks`` gets the
+    workers' peak memory (MB) on a clean exit, and stays empty when none ran.
 
     With ``threads`` > 1 the steps run in up to ``threads`` worker processes
     forked once for all rounds (processes, because client threads would hand
@@ -212,7 +207,7 @@ def _client_map(step, clients: list, threads: int):
     finishes a client takes the next in order, so one on a busier CPU takes
     fewer. Workers hold BLAS at one thread, this process keeps its count;
     any error, one while starting them included, terminates them."""
-    n, peaks = min(threads, len(clients)), []
+    n, peaks = min(threads, clients), []
     if n > 1:
         # imported here, so that a stage that never forks does not load it
         import multiprocessing.connection
@@ -221,8 +216,8 @@ def _client_map(step, clients: list, threads: int):
             n = 1
     if n <= 1:
         yield (lambda global_model, rnd, prevs: [
-            step(global_model, c, rnd, prev)
-            for c, prev in zip(clients, prevs)]), peaks
+            step(global_model, c, rnd, prevs[c])
+            for c in range(clients)]), peaks
         return
     if openblas_threads() is None:
         _warn_blas_unpinned()
@@ -231,21 +226,21 @@ def _client_map(step, clients: list, threads: int):
 
     def map_workers(global_model, rnd, prevs):
         # clients start in order, so every client before a failing one runs
-        results, failures = [None] * len(clients), {}
-        todo = iter(range(len(clients)))
-        running = {}  # connection -> client position
+        results, failures = [None] * clients, {}
+        todo = iter(range(clients))
+        running = {}  # connection -> client
 
         def hand_out(conn):
-            i = next(todo, None)
-            if i is not None and not failures:
-                conn.send((i, global_model, rnd, prevs[i]))
-                running[conn] = i
+            c = next(todo, None)
+            if c is not None and not failures:
+                conn.send((c, global_model, rnd, prevs[c]))
+                running[conn] = c
 
         for conn in workers:
             hand_out(conn)
         while running:
             for conn in multiprocessing.connection.wait(list(running)):
-                i = running.pop(conn)
+                c = running.pop(conn)
                 try:
                     reply = conn.recv()
                 except EOFError:
@@ -254,9 +249,9 @@ def _client_map(step, clients: list, threads: int):
                     raise RuntimeError(f"a client worker process exited "
                                        f"(code {proc.exitcode})") from None
                 if isinstance(reply, _Failure):
-                    failures[i] = reply
+                    failures[c] = reply
                 else:
-                    results[i] = reply
+                    results[c] = reply
                 hand_out(conn)
         if failures:
             first = failures[min(failures)]
@@ -267,7 +262,7 @@ def _client_map(step, clients: list, threads: int):
         for _ in range(n):
             here, there = ctx.Pipe()
             proc = ctx.Process(target=_serve, daemon=True,
-                               args=(there, step, clients))
+                               args=(there, step))
             proc.start()
             there.close()
             workers[here] = proc
@@ -288,36 +283,29 @@ def _client_map(step, clients: list, threads: int):
             proc.join()
 
 
-def sort_clients(clients: list) -> list:
-    """Clients in id order; rejects an empty list and duplicate ids."""
-    if not clients:
-        raise ValueError("no clients")
-    ids = [c.client_id for c in clients]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate client ids")
-    return sorted(clients, key=lambda c: c.client_id)
-
-
-def run_rounds(clients: list, step, test: Dataset, rounds: int, seed: int,
+def run_rounds(clients: int, step, test: Dataset, rounds: int, seed: int,
                hidden: int, threads: int,
                weights: list[float] | None = None,
                fits_per_client: int = 1) -> tuple[ModelParams, RoundHistory]:
     """The round loop of every regime, from the start model seeded by
     ``seed`` (``hidden`` units a layer). Each round runs ``step(global_model,
-    client, rnd, prev) -> (local_model, losses, pseudo_labels | None)`` for
-    the clients (``sort_clients`` order; ``weights`` follow it), averages
-    the local models and records one RoundRecord. ``prev`` is what the
-    client's step returned the round before (None in round 0), so a step
-    keeps no state of its own.
+    c, rnd, prev) -> (local_model, losses, pseudo_labels | None)`` for each
+    client ``c`` in ``range(clients)`` (``weights`` follow that order),
+    averages the local models and records one RoundRecord. The step's
+    closure holds the clients' data. ``prev`` is what client ``c``'s step
+    returned the round before (None in round 0), so a step keeps no state
+    of its own.
 
     ``threads`` caps the worker processes the steps run in (see
     ``_client_map``); ``history.workers_peak_rss_mb`` is the largest peak
     memory they reported, None when no worker ran."""
+    if clients < 1:
+        raise ValueError("no clients")
     global_model = init_model(test.X.shape[1], hidden,
                               seed=derive_seed(seed, TAG_INIT))
     history = RoundHistory()
     with _client_map(step, clients, threads) as (map_clients, peaks):
-        results = [None] * len(clients)
+        results = [None] * clients
         for rnd in range(rounds):
             results = map_clients(global_model, rnd, results)
             locals_, losses, pseudo = zip(*results)
@@ -325,9 +313,9 @@ def run_rounds(clients: list, step, test: Dataset, rounds: int, seed: int,
             history.rounds.append(RoundRecord(
                 round=rnd,
                 test_accuracy=test_accuracy(global_model, test),
-                client_losses={c.client_id: (ls[-1] if ls else float("nan"))
-                               for c, ls in zip(clients, losses)},
-                local_fits=fits_per_client * len(clients),
+                client_losses=[ls[-1] if ls else float("nan")
+                               for ls in losses],
+                local_fits=fits_per_client * clients,
                 pseudo_agreement=(None if pseudo[0] is None
                                   else pseudo_label_agreement(list(pseudo))),
             ))
@@ -336,22 +324,20 @@ def run_rounds(clients: list, step, test: Dataset, rounds: int, seed: int,
     return global_model, history
 
 
-def run_fl(shards: list[ClientShard], test: Dataset, rounds: int = 20,
+def run_fl(shards: list[Dataset], test: Dataset, rounds: int = 20,
            config: TrainConfig | None = None, seed: int = 0,
            hidden: int = 256, threads: int = 1,
            ) -> tuple[ModelParams, RoundHistory]:
     """FedAvg over all clients every round. Aggregation weights are client
     sample counts (equal shards reduce to the plain mean). One client for
     one round is centralized training."""
-    shards = sort_clients(shards)
     config = config or TrainConfig()
 
-    def fit(global_model, shard, rnd, prev):
-        cfg = replace(config, seed=derive_seed(seed, TAG_CLIENT,
-                                               shard.client_id, rnd))
-        model, losses = train_local(global_model, shard.data.X, shard.data.y,
+    def fit(global_model, c, rnd, prev):
+        cfg = replace(config, seed=derive_seed(seed, TAG_CLIENT, c, rnd))
+        model, losses = train_local(global_model, shards[c].X, shards[c].y,
                                     cfg)
         return model, losses, None
 
-    return run_rounds(shards, fit, test, rounds, seed, hidden, threads,
-                      weights=[float(len(s.data)) for s in shards])
+    return run_rounds(len(shards), fit, test, rounds, seed, hidden, threads,
+                      weights=[float(len(s)) for s in shards])

@@ -11,7 +11,7 @@ import numpy as np
 
 from .data import Dataset, PublicSet
 from .fedsim import (TAG_CLIENT, TAG_TEACHER, RoundHistory, derive_seed,
-                     run_rounds, sort_clients)
+                     run_rounds)
 from .metrics import pseudo_label_agreement  # re-exported
 from .nn import ModelParams, TrainConfig, predict, train_local
 
@@ -20,7 +20,6 @@ STUDENT_INIT_POLICIES = ("warm", "global")
 
 @dataclass
 class MimicClient:
-    client_id: int
     private: Dataset
     public: PublicSet  # may be one shared object across clients
 
@@ -31,11 +30,10 @@ def label_public(teacher: ModelParams, public_X: np.ndarray) -> np.ndarray:
 
 
 def _teach(config: TrainConfig, seed: int, global_model: ModelParams,
-           client: MimicClient, rnd: int) -> np.ndarray:
-    """Fit the client's teacher from the global model on its private shard
+           client: MimicClient, c: int, rnd: int) -> np.ndarray:
+    """Fit client ``c``'s teacher from the global model on its private shard
     and return the teacher's labels for the client's public set."""
-    cfg = replace(config, seed=derive_seed(seed, TAG_TEACHER,
-                                           client.client_id, rnd))
+    cfg = replace(config, seed=derive_seed(seed, TAG_TEACHER, c, rnd))
     teacher, _ = train_local(global_model, client.private.X, client.private.y,
                              cfg)
     return label_public(teacher, client.public.X)
@@ -51,16 +49,15 @@ def _run_mimic(clients: list[MimicClient], test: Dataset, rounds: int,
     the client's last student (``warm_students``) or the global model."""
     config = config or TrainConfig()
 
-    def step(global_model, client, rnd, prev):
-        pseudo = (_teach(config, seed, global_model, client, rnd)
+    def step(global_model, c, rnd, prev):
+        pseudo = (_teach(config, seed, global_model, clients[c], c, rnd)
                   if refit_teachers or prev is None else prev[2])
         s0 = prev[0] if warm_students and prev is not None else global_model
-        s_cfg = replace(config, seed=derive_seed(seed, TAG_CLIENT,
-                                                 client.client_id, rnd))
-        student, losses = train_local(s0, client.public.X, pseudo, s_cfg)
+        s_cfg = replace(config, seed=derive_seed(seed, TAG_CLIENT, c, rnd))
+        student, losses = train_local(s0, clients[c].public.X, pseudo, s_cfg)
         return student, losses, pseudo
 
-    return run_rounds(sort_clients(clients), step, test, rounds, seed, hidden,
+    return run_rounds(len(clients), step, test, rounds, seed, hidden,
                       threads, fits_per_client=2 if refit_teachers else 1)
 
 

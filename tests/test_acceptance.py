@@ -137,13 +137,13 @@ def test_criterion_4_cost_claim(monkeypatch):
 
     cfg = TrainConfig(epochs=2, batch_size=16, dropout_rate=0.0)
     public = PublicSet(*toy_separable(30, seed=50))
-    clients = [MimicClient(c, Dataset(*toy_separable(40, seed=c)), public)
+    clients = [MimicClient(Dataset(*toy_separable(40, seed=c)), public)
                for c in range(4)]
     test = Dataset(*toy_separable(20, seed=99))
     _, h_ftml = run_ftml(clients, test, rounds=3, config=cfg, seed=1, hidden=6)
     taught, teach = [], mimic._teach
     monkeypatch.setattr(mimic, "_teach", lambda *a: taught.append(
-        a[3].client_id) or teach(*a))
+        a[4]) or teach(*a))
     _, h_fsml = run_fsml(clients, test, rounds=3, config=cfg, seed=1,
                          hidden=6)
     for rt, rs in zip(h_ftml.rounds, h_fsml.rounds):
@@ -186,8 +186,8 @@ def test_criterion_7_gradient_check(kind):
 
 def test_criterion_8_fedavg_suite_and_single_client_equivalence():
     from fedmimic.data import Dataset
-    from fedmimic.fedsim import (TAG_CLIENT, TAG_INIT, ClientShard,
-                                 derive_seed, fedavg, run_fl)
+    from fedmimic.fedsim import (TAG_CLIENT, TAG_INIT, derive_seed, fedavg,
+                                 run_fl)
     from fedmimic.nn import train_local
     from conftest import toy_separable
     from test_fedsim import max_param_diff, scalar_model
@@ -205,7 +205,7 @@ def test_criterion_8_fedavg_suite_and_single_client_equivalence():
 
     X, y = toy_separable(40, seed=3)
     cfg = TrainConfig(epochs=2, batch_size=16, dropout_rate=0.0)
-    shard = ClientShard(0, Dataset(X, y))
+    shard = Dataset(X, y)
     test = Dataset(*toy_separable(20, seed=9))
     global_model, _ = run_fl([shard], test, rounds=1, config=cfg, seed=4,
                              hidden=6)

@@ -22,7 +22,7 @@ from fedmimic.cli import (DATA_ROOT_ENV, DEFAULTS, RANGES,
                           resolve_config, train_config, usable_cpus)
 from fedmimic.data import (FEATURE_NAMES, NOMINAL_FEATURES, NUM_FEATURES,
                            Dataset, load_attack_mapping)
-from fedmimic.fedsim import ClientShard, openblas_threads, run_fl
+from fedmimic.fedsim import openblas_threads, run_fl
 from fedmimic.modelio import load_model
 from fedmimic.nn import init_model
 
@@ -252,8 +252,8 @@ class TestTextInputs:
 
     @pytest.mark.parametrize("flag, code, message", [
         ("--train-file", 5, "{bad}: row 4: byte 0xff is not UTF-8"),
-        ("--attack-map", 5, "{bad}: 'utf-8' codec can't decode byte 0xff"),
-        ("--config", 4, "config file {bad}: 'utf-8' codec can't decode"),
+        ("--attack-map", 5, "{bad}: line 2: byte 0xff is not UTF-8"),
+        ("--config", 4, "config file {bad}: line 2: byte 0xff is not UTF-8"),
     ], ids=["corpus", "attack_map", "config"])
     def test_undecodable_byte_names_the_file(self, tmp_path, flag, code,
                                              message):
@@ -286,9 +286,39 @@ class TestTextInputs:
                              "--model-file", str(model),
                              "--history-file", str(hist)])
         assert rc == 5
-        assert err.startswith(f"error: {hist}: 'utf-8' codec can't decode")
+        assert err.startswith(f"error: {hist}: line 2: byte 0xff is not UTF-8")
         assert err.count("\n") == 1
         assert not (workdir / "eval_report.json").exists()
+
+    @pytest.mark.parametrize("flag, code, prefix, lines", [
+        ("--attack-map", 5, "{bad}",
+         [b"normal\tNormal", b"neptune\tDoS", b"smurf\xfe\tDoS"]),
+        ("--history-file", 5, "{bad}",
+         [b"round,test_accuracy", b"0,5.0", b"1,\xfe6.0"]),
+        ("--config", 4, "config file {bad}",
+         [b'{"seed": 1,', b'"lr": 0.01,', b'"loss": "\xfe"}']),
+    ], ids=["attack_map", "history", "config"])
+    def test_undecodable_byte_names_its_line(self, workdir, tmp_path, flag,
+                                             code, prefix, lines):
+        """Every text input names the line of a byte that is not UTF-8, as
+        the corpus files name its row, not its offset in the file."""
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"\n".join(lines) + b"\n")
+        if flag == "--history-file":
+            _, _, test = load_prep(workdir, ("test",))
+            model = tmp_path / "m.fmim"
+            write_model(init_model(test.X.shape[1], 3, seed=0), model)
+            argv = ["--mode", "eval", "--out-dir", str(workdir),
+                    "--model-file", str(model)]
+        else:
+            train = tmp_path / "train.txt"
+            train.write_text("\n".join(CORPUS) + "\n")
+            argv = ["--mode", "prep", "--train-file", str(train),
+                    "--out-dir", str(tmp_path / "o")]
+        rc, err = _run_main([*argv, flag, str(bad)])
+        assert rc == code
+        assert err == (f"error: {prefix.format(bad=bad)}: line 3: byte 0xfe "
+                       f"is not UTF-8\n")
 
     def test_utf8_label_under_an_ascii_locale(self, tmp_path):
         """A label outside ASCII, mapped in --attack-map, preps where the
@@ -505,6 +535,9 @@ def _damage(out: Path, case: str, split: str = "train") -> str:
         data = (out / f"{split}_X.npy").read_bytes()
         (out / f"{split}_X.npy").write_bytes(data[:len(data) // 2])
         return f"{split}_X.npy"
+    if case == "no_rows":
+        edit_npy(f"{split}_y.npy", lambda y: y[:0])
+        return edit_npy(f"{split}_X.npy", lambda X: X[:0])
     if case == "object_npy":
         np.save(out / f"{split}_y.npy", np.array([0, "x", None], dtype=object))
         return f"{split}_y.npy"
@@ -516,7 +549,7 @@ def _damage(out: Path, case: str, split: str = "train") -> str:
 # array damages hit the training split, except in eval, which reads only
 # pipeline.json and the test split: there they hit the test split
 ARRAY_DAMAGES = ["y_shorter_than_X", "X_all_nan", "float_labels",
-                 "float64_X", "truncated_npy", "object_npy"]
+                 "float64_X", "truncated_npy", "object_npy", "no_rows"]
 DAMAGES = [*ARRAY_DAMAGES, "no_feature_mask", "mask_out_of_range",
            "empty_mask", "train_label_9", "unparsable_pipeline"]
 # select reads no test split, so these damages show only in fl and eval
@@ -674,7 +707,7 @@ class TestTrainModes:
         assert main(args) == 0
         cfg = resolve_config(build_parser().parse_args(args))
         _, train, test = load_prep(workdir)
-        model, _ = run_fl([ClientShard(0, train)], test, rounds=1,
+        model, _ = run_fl([train], test, rounds=1,
                           config=train_config(cfg), seed=cfg["seed"],
                           hidden=cfg["hidden"])
         write_model(model, tmp_path / "direct.fmim", cfg["loss"])

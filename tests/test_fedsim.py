@@ -11,9 +11,9 @@ from fedmimic import fedsim
 from fedmimic.data import (AttackClass, Dataset, apply_pipeline, fit_pipeline,
                            load_attack_mapping, map_labels, parse_records,
                            split_indices)
-from fedmimic.fedsim import (TAG_CLIENT, TAG_INIT, ClientShard, RoundHistory,
-                             RoundRecord, derive_seed, fedavg, openblas_threads,
-                             run_fl, run_rounds)
+from fedmimic.fedsim import (TAG_CLIENT, TAG_INIT, RoundHistory, RoundRecord,
+                             derive_seed, fedavg, openblas_threads, run_fl,
+                             run_rounds)
 from fedmimic.nn import (ModelParams, TrainConfig, init_model, predict,
                          train_local)
 
@@ -34,8 +34,8 @@ def max_param_diff(a, b):
 
 def make_shards(num_clients=3, per_client=40, seed=0):
     X, y = toy_separable(num_clients * per_client, seed=seed)
-    return [ClientShard(c, Dataset(X[c * per_client:(c + 1) * per_client],
-                                   y[c * per_client:(c + 1) * per_client]))
+    return [Dataset(X[c * per_client:(c + 1) * per_client],
+                    y[c * per_client:(c + 1) * per_client])
             for c in range(num_clients)]
 
 
@@ -125,7 +125,7 @@ class TestRunFl:
         init = init_model(4, 6, 5, seed=derive_seed(3, TAG_INIT))
         cfg = TrainConfig(**{**vars(FAST),
                              "seed": derive_seed(3, TAG_CLIENT, 0, 0)})
-        direct, _ = train_local(init, shards[0].data.X, shards[0].data.y, cfg)
+        direct, _ = train_local(init, shards[0].X, shards[0].y, cfg)
         assert max_param_diff(model, direct) < 1e-7
 
     def test_local_fit_count(self):
@@ -157,12 +157,6 @@ class TestRunFl:
         with pytest.raises(ValueError):
             run_fl([], Dataset(*toy_separable(10)), rounds=1)
 
-    def test_duplicate_ids_rejected(self):
-        shards = make_shards(num_clients=2)
-        shards[1].client_id = shards[0].client_id
-        with pytest.raises(ValueError, match="duplicate client ids"):
-            run_fl(shards, Dataset(*toy_separable(10)), rounds=1)
-
     def test_learns_toy_problem(self):
         shards = make_shards(num_clients=3, per_client=60)
         X, y = toy_separable(60, seed=12)
@@ -188,7 +182,7 @@ def test_mae_never_predicts_u2r_where_xent_does(seed):
     test = Dataset(apply_pipeline(pipeline, records.take(te)), y[te])
     u2r = {}
     for loss in ("mae", "xent"):
-        model, _ = run_fl([ClientShard(0, train)], test, rounds=1,
+        model, _ = run_fl([train], test, rounds=1,
                           config=TrainConfig(loss=loss, seed=seed),
                           seed=seed, hidden=64)
         u2r[loss] = int((predict(model, test.X) == AttackClass.U2R).sum())
@@ -214,27 +208,27 @@ class TestClientPool:
 
     @staticmethod
     def rounds(step, threads, rounds=2, clients=3):
-        return run_rounds(make_shards(num_clients=clients), step,
+        return run_rounds(clients, step,
                           Dataset(*toy_separable(30, seed=9)), rounds,
                           seed=0, hidden=6, threads=threads)
 
     def test_blas_at_one_thread_inside_and_restored_after(self, blas):
-        def step(global_model, client, rnd, prev):
+        def step(global_model, c, rnd, prev):
             # a worker's side effects stay in it, so report through losses
             return global_model.copy(), [float(blas())], None
 
         _, history = self.rounds(step, threads=2)
         assert [r.client_losses for r in history.rounds] == [
-            {0: 1.0, 1: 1.0, 2: 1.0}] * 2
+            [1.0, 1.0, 1.0]] * 2
         assert blas() == 2
         _, history = self.rounds(step, threads=1)  # no workers: BLAS alone
         assert [r.client_losses for r in history.rounds] == [
-            {0: 2.0, 1: 2.0, 2: 2.0}] * 2
+            [2.0, 2.0, 2.0]] * 2
 
     def test_blas_restored_after_a_step_raises(self, blas):
-        def step(global_model, client, rnd, prev):
+        def step(global_model, c, rnd, prev):
             assert blas() == 1
-            if client.client_id == 1:
+            if c == 1:
                 raise RuntimeError("client failed")
             return global_model.copy(), [0.0], None
 
@@ -265,7 +259,7 @@ class TestClientPool:
                             lambda: ["spawn"])
         pids = []
 
-        def step(global_model, client, rnd, prev):
+        def step(global_model, c, rnd, prev):
             pids.append(os.getpid())
             return global_model.copy(), [0.0], None
 
@@ -278,11 +272,11 @@ class TestClientPool:
         assert capsys.readouterr().err.count("warning: no fork") == 1
 
     def test_first_failing_client_in_order_raises(self):
-        def step(global_model, client, rnd, prev):
-            if rnd == 1 and client.client_id >= 3:
-                if client.client_id == 3:  # so that client 4 fails first
+        def step(global_model, c, rnd, prev):
+            if rnd == 1 and c >= 3:
+                if c == 3:  # so that client 4 fails first
                     time.sleep(0.3)
-                raise ValueError(f"client {client.client_id}")
+                raise ValueError(f"client {c}")
             return global_model.copy(), [0.0], None
 
         for threads in (1, 2, 4):
@@ -291,19 +285,19 @@ class TestClientPool:
         assert multiprocessing.active_children() == []
 
     def test_prev_is_the_clients_last_result(self):
-        def step(global_model, client, rnd, prev):
+        def step(global_model, c, rnd, prev):
             assert (prev is None) == (rnd == 0)
-            n = client.client_id if prev is None else prev[1][0] + 100.0
+            n = c if prev is None else prev[1][0] + 100.0
             return global_model.copy(), [float(n)], None
 
         for threads in (1, 2):
             _, history = self.rounds(step, threads, rounds=3, clients=5)
             assert [r.client_losses for r in history.rounds] == [
-                {c: c + 100.0 * rnd for c in range(5)} for rnd in range(3)]
+                [c + 100.0 * rnd for c in range(5)] for rnd in range(3)]
 
     def test_a_worker_that_dies_raises(self):
-        def step(global_model, client, rnd, prev):
-            if client.client_id == 1:
+        def step(global_model, c, rnd, prev):
+            if c == 1:
                 os._exit(3)
             time.sleep(30)  # the other worker is stopped, not waited for
             return global_model.copy(), [0.0], None
@@ -324,7 +318,7 @@ class TestClientPool:
                 raise OSError("cannot fork")
             start(proc)
 
-        def step(global_model, client, rnd, prev):
+        def step(global_model, c, rnd, prev):
             return global_model.copy(), [0.0], None
 
         monkeypatch.setattr(ForkProcess, "start", second_start_fails)
@@ -336,8 +330,8 @@ class TestClientPool:
 
 def test_history_csv_round_trip_fields():
     history = RoundHistory([
-        RoundRecord(0, 50.0, {0: 0.5, 1: 0.25}, 2),
-        RoundRecord(1, 75.0, {0: 0.4, 1: 0.2}, 2),
+        RoundRecord(0, 50.0, [0.5, 0.25], 2),
+        RoundRecord(1, 75.0, [0.4, 0.2], 2),
     ])
     lines = history.to_csv().splitlines()
     assert lines[0] == "round,test_accuracy,local_fits,loss_client_0,loss_client_1"

@@ -3,8 +3,8 @@ import pytest
 
 import fedmimic.mimic as mimic
 from fedmimic.data import Dataset, PublicSet
-from fedmimic.fedsim import (TAG_CLIENT, TAG_INIT, TAG_TEACHER, ClientShard,
-                             derive_seed, fedavg, run_fl)
+from fedmimic.fedsim import (TAG_CLIENT, TAG_INIT, TAG_TEACHER, derive_seed,
+                             fedavg, run_fl)
 from fedmimic.mimic import (MimicClient, label_public, pseudo_label_agreement,
                             run_fsml, run_ftml)
 from fedmimic.nn import TrainConfig, init_model, predict, train_local
@@ -25,7 +25,7 @@ def make_clients(num_clients=3, private_n=40, public_n=30, seed=0,
         private = Dataset(*toy_separable(private_n, seed=seed + c))
         public = shared if shared_public else PublicSet(
             *toy_separable(public_n, seed=seed + 100 + c))
-        clients.append(MimicClient(c, private, public))
+        clients.append(MimicClient(private, public))
     return clients
 
 
@@ -124,18 +124,12 @@ class TestFtml:
         with pytest.raises(ValueError):
             run_ftml([], Dataset(*toy_separable(10)), rounds=1)
 
-    def test_duplicate_ids_rejected(self):
-        clients = make_clients(2)
-        clients[1].client_id = clients[0].client_id
-        with pytest.raises(ValueError):
-            run_ftml(clients, Dataset(*toy_separable(10)), rounds=1)
-
 
 class TestFsml:
     def test_one_fit_per_client_per_round_plus_teachers(self, monkeypatch):
         taught, teach = [], mimic._teach
         monkeypatch.setattr(mimic, "_teach", lambda *a: taught.append(
-            a[3].client_id) or teach(*a))
+            a[4]) or teach(*a))
         clients = make_clients(num_clients=3)
         test = Dataset(*toy_separable(20, seed=9))
         model, history = run_fsml(clients, test, rounds=4, config=FAST,
@@ -190,14 +184,15 @@ class TestFsml:
 
         init = init_model(4, 6, 5, seed=derive_seed(seed, TAG_INIT))
         students = []
-        for c in clients:
+        for c, client in enumerate(clients):
             t_cfg = TrainConfig(**{**vars(FAST), "seed": derive_seed(
-                seed, TAG_TEACHER, c.client_id, 0)})
-            teacher, _ = train_local(init, c.private.X, c.private.y, t_cfg)
-            pseudo = label_public(teacher, c.public.X)
+                seed, TAG_TEACHER, c, 0)})
+            teacher, _ = train_local(init, client.private.X, client.private.y,
+                                     t_cfg)
+            pseudo = label_public(teacher, client.public.X)
             s_cfg = TrainConfig(**{**vars(FAST), "seed": derive_seed(
-                seed, TAG_CLIENT, c.client_id, 0)})
-            student, _ = train_local(init, c.public.X, pseudo, s_cfg)
+                seed, TAG_CLIENT, c, 0)})
+            student, _ = train_local(init, client.public.X, pseudo, s_cfg)
             students.append(student)
         assert max_param_diff(model, fedavg(students)) == 0.0
 
@@ -210,19 +205,20 @@ class TestFsml:
         for c in range(num_clients):
             private = Dataset(*toy_separable(200, seed=300 + c))
             pub_X, pub_y = toy_separable(n_pub, seed=600 + c)
-            shards.append(ClientShard(c, Dataset(pub_X, pub_y)))
-            clients.append(MimicClient(c, private, PublicSet(pub_X, pub_y)))
+            shards.append(Dataset(pub_X, pub_y))
+            clients.append(MimicClient(private, PublicSet(pub_X, pub_y)))
         test = Dataset(*toy_separable(50, seed=999))
         seed = 11
 
         # confirm the teachers are oracles on their public shards
         init = init_model(4, 12, 5, seed=derive_seed(seed, TAG_INIT))
-        for c in clients:
+        for c, client in enumerate(clients):
             cfg = TrainConfig(**{**vars(LEARN), "seed": derive_seed(
-                seed, TAG_TEACHER, c.client_id, 0)})
-            teacher, _ = train_local(init, c.private.X, c.private.y, cfg)
-            assert np.array_equal(label_public(teacher, c.public.X),
-                                  c.public.truth_for_diagnostics())
+                seed, TAG_TEACHER, c, 0)})
+            teacher, _ = train_local(init, client.private.X, client.private.y,
+                                     cfg)
+            assert np.array_equal(label_public(teacher, client.public.X),
+                                  client.public.truth_for_diagnostics())
 
         m_fsml, h_fsml = run_fsml(clients, test, rounds=2, config=LEARN,
                                   seed=seed, hidden=12)
