@@ -2,8 +2,8 @@
 training regimes (central, fl, ftml, fsml), and standalone evaluation.
 
 Exit codes: 0 ok, 2 missing input file, 3 missing prep artifacts,
-4 invalid configuration or a file the stage cannot write, 5 file-format or
-shape error.
+4 invalid configuration, a fit that diverges or a file the stage cannot
+write, 5 file-format or shape error.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .fedsim import (TAG_MIMIC_POOL, TAG_PRIVATE_PUBLIC, TAG_PRIVATE_SHARDS,
                      derive_seed, openblas_threads, peak_rss_mb, run_fl)
 from .metrics import confusion, per_class_metrics
 from .mimic import STUDENT_INIT_POLICIES, MimicClient, run_fsml, run_ftml
-from .modelio import ModelFormatError, load_model, save_model
+from .modelio import load_model, save_model
 from .nn import TrainConfig, predict
 
 EXIT_OK = 0
@@ -375,7 +375,7 @@ def read_labelled(path: Path, mapping: dict) -> tuple[Records, np.ndarray]:
     except UnicodeDecodeError:
         raise ParseError(f"{path}: {first_undecodable(path, 'row')}") from None
     except ParseError as e:
-        raise type(e)(f"{path}: {e}") from None
+        raise ParseError(f"{path}: {e}") from None
 
 
 def read_split(cfg: dict, train_path: Path, test_path: Path | None):
@@ -511,8 +511,8 @@ def load_prep(out_dir: Path, splits: tuple[str, ...] = ("train", "test"),
     None. Each is cut to the feature mask unless it is null; ``selected=False``
     keeps every expanded column, the select stage's input. ``digests``, if
     given, gets the sha256 of the pipeline.json bytes read. A missing
-    artifact raises MissingPrep (exit 3), a damaged one ParseError naming it
-    (exit 5), a mask that from_json rejects included."""
+    artifact raises MissingPrep (exit 3), a damaged or unreadable one
+    ParseError naming it (exit 5), a mask that from_json rejects included."""
     needed = ["pipeline.json", *(f"{name}_{part}.npy" for name in splits
                                  for part in "Xy")]
     missing = [n for n in needed if not os.path.exists(out_dir / n)]
@@ -520,9 +520,11 @@ def load_prep(out_dir: Path, splits: tuple[str, ...] = ("train", "test"),
         raise MissingPrep(f"prep artifacts missing from {out_dir}: {missing} "
                           f"(run --mode prep first)")
     path = out_dir / "pipeline.json"
-    raw = path.read_bytes()
     try:
+        raw = path.read_bytes()
         pipeline = PreprocessPipeline.from_json(raw.decode("utf-8"))
+    except OSError as e:
+        raise ParseError(f"{path}: unreadable ({e.strerror or e})") from None
     except ValueError as e:  # JSON and Unicode decoding errors included
         raise ParseError(f"{path}: {e}") from None
     if digests is not None:
@@ -557,14 +559,17 @@ def build_mimic_clients(train: Dataset, cfg: dict) -> list[MimicClient]:
         need = n_clients * cfg["samples_per_client"]
         if need > len(train):
             raise ValueError(f"mimic pool needs {need} samples, have {len(train)}")
-        rng = np.random.default_rng(derive_seed(seed, TAG_MIMIC_POOL))
-        idx = rng.permutation(len(train))[:need]
-        pool = Dataset(train.X[idx], train.y[idx])
+        pool = shard_clients(train, 1, need,
+                             derive_seed(seed, TAG_MIMIC_POOL))[0]
     private, public = split_private_public(
         pool, cfg["private_fraction"], derive_seed(seed, TAG_PRIVATE_PUBLIC))
     per_client = len(private) // n_clients
     if per_client < 1:
         raise ValueError(f"private pool too small for {n_clients} clients")
+    if not len(public):
+        raise ValueError(f"public pool is empty: private_fraction "
+                         f"{cfg['private_fraction']} leaves none of the "
+                         f"{len(pool)} pool rows public")
     shards = shard_clients(private, n_clients, per_client,
                            derive_seed(seed, TAG_PRIVATE_SHARDS))
     if not cfg["per_user_public"]:
@@ -642,11 +647,15 @@ def cmd_eval(cfg: dict, out: Artifacts) -> StageResult:
     model, _ = load_model(model_path)
     _, _, test = load_prep(out_dir, ("test",))
     if model.input_dim != test.X.shape[1]:
-        raise ModelFormatError(f"model expects {model.input_dim} features, "
-                               f"test matrix has {test.X.shape[1]}")
+        raise ParseError(f"model expects {model.input_dim} features, "
+                         f"test matrix has {test.X.shape[1]}")
     # read the history before writing anything, so a bad one writes nothing
     series = accuracy_series(hist_path) if hist_path else None
-    report = per_class_metrics(confusion(predict(model, test.X), test.y))
+    try:
+        predicted = predict(model, test.X)
+    except FloatingPointError as e:  # finite weights a diverged fit left
+        raise ParseError(f"{model_path}: {e} on the test matrix") from None
+    report = per_class_metrics(confusion(predicted, test.y))
     out.write_text("eval_report.txt", report.to_text())
     out.write_text("eval_report.csv", report.to_csv())
     out.write_text("eval_report.json", report.to_json())
@@ -669,7 +678,7 @@ def print_summary(lines: list[str]) -> None:
         os.close(devnull)
 
 
-def print_error(e: Exception) -> None:
+def print_error(e: Exception | str) -> None:
     """One ``error:`` line on stderr; a line break in the message, such as
     one in a path from the config file, is escaped."""
     text = str(e).replace("\r", "\\r").replace("\n", "\\n")
@@ -698,11 +707,14 @@ def main(argv=None) -> int:
     except MissingPrep as e:
         print_error(e)
         return EXIT_MISSING_PREP
-    except (ParseError, ModelFormatError) as e:
+    except ParseError as e:
         print_error(e)
         return EXIT_FORMAT
     except ValueError as e:
         print_error(e)
+        return EXIT_BAD_CONFIG
+    except FloatingPointError as e:  # a learning rate the data cannot take
+        print_error(f"training diverged ({e}); try a lower --lr")
         return EXIT_BAD_CONFIG
 
 

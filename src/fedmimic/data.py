@@ -62,11 +62,7 @@ REFERENCE_REPORTED_TEST_TOTAL = 12598
 
 
 class ParseError(Exception):
-    pass
-
-
-class UnknownLabelError(ParseError):
-    pass
+    """A malformed input file; the message says where its fault is."""
 
 
 @dataclass
@@ -231,8 +227,8 @@ def load_attack_mapping(path=None) -> dict[str, AttackClass]:
 
 def map_labels(records: Records,
                mapping: dict[str, AttackClass] | None = None) -> np.ndarray:
-    """Class of each record; an unknown label raises UnknownLabelError naming
-    the record's row."""
+    """Class of each record; an unknown label raises ParseError naming the
+    record's row."""
     if mapping is None:
         mapping = load_attack_mapping()
     labels = records.labels.tolist()
@@ -240,8 +236,8 @@ def map_labels(records: Records,
         return np.array([mapping[s] for s in labels], dtype=np.int64)
     except KeyError:
         i = next(i for i, s in enumerate(labels) if s not in mapping)
-        raise UnknownLabelError(f"row {records.rows[i]}: label {labels[i]!r} "
-                                f"is not in the attack mapping") from None
+        raise ParseError(f"row {records.rows[i]}: label {labels[i]!r} is not "
+                         f"in the attack mapping") from None
 
 
 def class_counts(y: np.ndarray) -> dict[str, int]:

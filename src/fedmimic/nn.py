@@ -158,10 +158,13 @@ def _check_batch(model, batch):
     return batch
 
 
+@np.errstate(over="raise", invalid="raise")
 def _forward_cached(model, batch, dropout_rate=0.0, rng=None):
     """Forward pass keeping each layer's input and each hidden layer's
     dropout mask for backprop. Hidden units drop only given an rng and a
-    positive rate."""
+    positive rate. An activation that overflows or turns NaN raises
+    FloatingPointError: weights that a learning rate has blown up to a
+    finite 1e30 would otherwise still predict a class."""
     post, masks = [batch], []
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
         a = np.matmul(post[-1], w.T)

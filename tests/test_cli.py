@@ -165,6 +165,14 @@ class TestPrep:
                    (prepped / "out" / name).read_bytes()
 
 
+def _cli_env(**extra) -> dict:
+    """The environment of a CLI subprocess: ``extra`` set, and this
+    checkout's src first on PYTHONPATH."""
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src"),
+         os.environ.get("PYTHONPATH", "")]))
+
+
 def _run_main(argv) -> tuple[int, str]:
     """(exit code, stderr) of an in-process CLI run; an exception that
     escapes main, which would end the process in a traceback, fails the
@@ -333,10 +341,7 @@ class TestTextInputs:
         amap.write_text("".join(f"{name}\t{cls.name}\n" for name, cls in
                                 load_attack_mapping().items())
                         + "naïve\tProbe\n", encoding="utf-8")
-        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0",
-                   PYTHONUTF8="0", PYTHONPATH=os.pathsep.join(
-                       [str(Path(__file__).parents[1] / "src"),
-                        os.environ.get("PYTHONPATH", "")]))
+        env = _cli_env(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
         out = tmp_path / "out"
         proc = subprocess.run(
             [sys.executable, "-m", "fedmimic.cli", "--mode", "prep",
@@ -427,9 +432,7 @@ class TestClosedStdout:
                                               unbuffered):
         """``fedmimic --mode prep ... | true``: the reader is gone before the
         summary is printed, buffered or not."""
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(Path(__file__).parents[1] / "src"),
-             os.environ.get("PYTHONPATH", "")]))
+        env = _cli_env()
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
@@ -488,9 +491,7 @@ class TestSelect:
         assert np.array_equal(load_prep(workdir, selected=False)[1].X, X)
 
     def test_negative_k_features_exits_4_promptly(self, workdir):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(Path(__file__).parents[1] / "src"),
-             os.environ.get("PYTHONPATH", "")]))
+        env = _cli_env()
         proc = subprocess.run(
             [sys.executable, "-m", "fedmimic.cli", "--mode", "select",
              "--out-dir", str(workdir), "--k-features=-1"],
@@ -541,6 +542,10 @@ def _damage(out: Path, case: str, split: str = "train") -> str:
     if case == "object_npy":
         np.save(out / f"{split}_y.npy", np.array([0, "x", None], dtype=object))
         return f"{split}_y.npy"
+    if case == "pipeline_is_a_directory":
+        (out / "pipeline.json").unlink()
+        (out / "pipeline.json").mkdir()
+        return "pipeline.json"
     assert case == "unparsable_pipeline"
     (out / "pipeline.json").write_text('{"vocabs": ')
     return "pipeline.json"
@@ -551,7 +556,8 @@ def _damage(out: Path, case: str, split: str = "train") -> str:
 ARRAY_DAMAGES = ["y_shorter_than_X", "X_all_nan", "float_labels",
                  "float64_X", "truncated_npy", "object_npy", "no_rows"]
 DAMAGES = [*ARRAY_DAMAGES, "no_feature_mask", "mask_out_of_range",
-           "empty_mask", "train_label_9", "unparsable_pipeline"]
+           "empty_mask", "train_label_9", "unparsable_pipeline",
+           "pipeline_is_a_directory"]
 # select reads no test split, so these damages show only in fl and eval
 TEST_DAMAGES = ["X_missing_a_column", "test_label_9"]
 
@@ -642,6 +648,29 @@ class TestTrainModes:
         assert rc == 4
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1 and "config key 'dropout'" in err
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("steps", [
+        # two epochs of two steps a client, two rounds: the parameters
+        # overflow to inf
+        ["--epochs", "2", "--batch", "32", "--rounds", "2"],
+        # one step a client: parameters near 1e30, still finite, whose
+        # forward passes overflow
+        ["--epochs", "1", "--batch", "128", "--rounds", "1"]],
+        ids=["non_finite", "one_step"])
+    def test_diverging_fit_exit_4_with_one_line(self, workdir, threads,
+                                                steps):
+        """Numpy's overflow warnings, printed by this process or a worker,
+        would be more lines on stderr."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedmimic.cli", "--mode", "fl",
+             "--out-dir", str(workdir), *TRAIN_FLAGS, *steps, "--lr", "1e30",
+             "--threads", threads], capture_output=True, text=True,
+            env=_cli_env(), timeout=120)
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("error: training diverged (")
+        assert proc.stderr.count("\n") == 1
+        assert not (workdir / "report.json").exists()
 
     def test_ftml_history_has_double_fit_count_of_fsml(self, workdir,
                                                        tmp_path):
@@ -772,9 +801,7 @@ class TestTrainModes:
         """A shell that ran a child before it exec'd the CLI leaves that
         child's peak in the CLI's RUSAGE_CHILDREN; select starts no worker
         and still records null."""
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(Path(__file__).parents[1] / "src"),
-             os.environ.get("PYTHONPATH", "")]))
+        env = _cli_env()
         script = ('"$0" -c pass; exec "$0" -m fedmimic.cli --mode select '
                   '--out-dir "$1" --k-features 3 --rfe-step 25')
         proc = subprocess.run(["/bin/sh", "-c", script, sys.executable,
@@ -862,6 +889,19 @@ class TestMimicPool:
                      "--samples-per-client", "2"]) == 4
         assert capsys.readouterr().err == (
             "error: public pool too small for 150 clients\n")
+
+    @pytest.mark.parametrize("per_user_public", [[], ["--per-user-public"]],
+                             ids=["shared", "per_user"])
+    def test_private_fraction_leaving_no_public_row_exit_4(
+            self, workdir, capsys, per_user_public):
+        # 120-row pool: round(0.999 * 120) = 120 private rows, 0 public
+        capsys.readouterr()
+        assert main(["--mode", "ftml", "--out-dir", str(workdir),
+                     "--private-fraction", "0.999"] + per_user_public
+                    + TRAIN_FLAGS) == 4
+        assert capsys.readouterr().err == (
+            "error: public pool is empty: private_fraction 0.999 leaves none "
+            "of the 120 pool rows public\n")
 
 
 class TestCommandLine:
@@ -1090,6 +1130,19 @@ class TestEval:
         series = (workdir / "accuracy_series.csv").read_text().splitlines()
         assert series[0] == "round,test_accuracy"
         assert len(series) == 2 and series[1].startswith("0,")
+
+    def test_model_whose_forward_overflows_exit_5(self, workdir, capsys):
+        """Finite weights of 1e30, which a diverged fit of an earlier version
+        could save, overflow float32 in the second layer."""
+        model = init_model(load_prep(workdir)[1].X.shape[1], 3, 5, seed=0)
+        model.buf[:] = 1e30
+        write_model(model, workdir / "model.fmim")
+        capsys.readouterr()
+        assert main(["--mode", "eval", "--out-dir", str(workdir)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {workdir / 'model.fmim'}: overflow ")
+        assert err.endswith(" on the test matrix\n") and err.count("\n") == 1
+        assert not (workdir / "eval_report.json").exists()
 
     @pytest.mark.parametrize("text,line", [
         ("", 1),

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from fedmimic import data as data_module
 from fedmimic.data import (FEATURE_NAMES, NOMINAL_FEATURES, AttackClass,
                            Dataset, ParseError, PreprocessPipeline,
-                           UnknownLabelError, apply_pipeline, class_counts,
-                           fit_pipeline, load_attack_mapping, map_labels,
-                           parse_records, shard_clients, split_indices,
-                           split_private_public)
+                           apply_pipeline, class_counts, fit_pipeline,
+                           load_attack_mapping, map_labels, parse_records,
+                           shard_clients, split_indices, split_private_public)
 
 from conftest import make_kdd_lines
 
@@ -114,7 +113,7 @@ class TestLabelMapping:
         assert label_of("neptune") is AttackClass.DoS
 
     def test_unknown_label(self):
-        with pytest.raises(UnknownLabelError, match="row 1: label 'frobnicate'"):
+        with pytest.raises(ParseError, match="row 1: label 'frobnicate'"):
             label_of("frobnicate")
 
     def test_shipped_mapping_covers_families(self):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fedmimic.modelio import MAGIC, ModelFormatError, load_model
+from fedmimic.data import ParseError
+from fedmimic.modelio import MAGIC, load_model
 from fedmimic.nn import forward, init_model
 
 from conftest import write_model
@@ -60,7 +61,7 @@ def test_float32_fixpoint(tmp_path):
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "junk.fmim"
     path.write_bytes(b"NOPE!" + b"\x00" * 40)
-    with pytest.raises(ModelFormatError, match="magic"):
+    with pytest.raises(ParseError, match="magic"):
         load_model(path)
 
 
@@ -69,5 +70,5 @@ def test_truncated_file_rejected(tmp_path):
     path = tmp_path / "m.fmim"
     write_model(m, path)
     (tmp_path / "t.fmim").write_bytes(path.read_bytes() + b"\x00")
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ParseError):
         load_model(tmp_path / "t.fmim")
