@@ -651,11 +651,10 @@ class TestTrainModes:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("steps", [
-        # two epochs of two steps a client, two rounds: the parameters
-        # overflow to inf
+        # four steps a client: unguarded, the parameters reach inf
         ["--epochs", "2", "--batch", "32", "--rounds", "2"],
-        # one step a client: parameters near 1e30, still finite, whose
-        # forward passes overflow
+        # one step a client: the parameters stay finite, near 1e30, and
+        # unguarded the run would exit 0 with an accuracy
         ["--epochs", "1", "--batch", "128", "--rounds", "1"]],
         ids=["non_finite", "one_step"])
     def test_diverging_fit_exit_4_with_one_line(self, workdir, threads,
