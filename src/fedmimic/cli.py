@@ -2,8 +2,8 @@
 training regimes (central, fl, ftml, fsml), and standalone evaluation.
 
 Exit codes: 0 ok, 2 missing input file, 3 missing prep artifacts,
-4 invalid configuration, a fit that diverges or a file the stage cannot
-write, 5 file-format or shape error.
+4 invalid configuration, a fit that diverges, a model too large for memory
+or a file the stage cannot write, 5 file-format or shape error.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .features import select_union
 from .fedsim import (TAG_MIMIC_POOL, TAG_PRIVATE_PUBLIC, TAG_PRIVATE_SHARDS,
                      derive_seed, openblas_threads, peak_rss_mb, run_fl)
 from .metrics import confusion, per_class_metrics
-from .mimic import STUDENT_INIT_POLICIES, MimicClient, run_fsml, run_ftml
+from .mimic import MimicClient, run_fsml, run_ftml
 from .modelio import load_model, save_model
 from .nn import TrainConfig, predict
 
@@ -102,7 +102,7 @@ RANGES = {
     "private_fraction": (0.0, 1.0, "()"),
     "test_fraction": (0.0, 1.0, "()"),
 }
-CHOICES = {"loss": ("mae", "xent"), "student_init": STUDENT_INIT_POLICIES}
+CHOICES = {"loss": ("mae", "xent"), "student_init": ("warm", "global")}
 FLAG_HELP = {
     "config": "JSON config file; flags override it",
     "attack_map": "custom attack->class mapping file",
@@ -225,12 +225,11 @@ def check_config_value(key: str, val) -> None:
 
 
 def train_config(cfg: dict) -> TrainConfig:
-    tc = TrainConfig(learning_rate=cfg["lr"], beta1=cfg["beta1"],
-                     beta2=cfg["beta2"], batch_size=cfg["batch"],
-                     epochs=cfg["epochs"], dropout_rate=cfg["dropout"],
-                     loss=cfg["loss"], seed=cfg["seed"])
-    tc.validate()
-    return tc
+    """The training values of ``cfg``, each a key that check_ranges checks."""
+    return TrainConfig(learning_rate=cfg["lr"], beta1=cfg["beta1"],
+                       beta2=cfg["beta2"], batch_size=cfg["batch"],
+                       epochs=cfg["epochs"], dropout_rate=cfg["dropout"],
+                       loss=cfg["loss"], seed=cfg["seed"])
 
 
 @contextlib.contextmanager
@@ -602,7 +601,7 @@ def cmd_train(cfg: dict, out: Artifacts) -> StageResult:
     elif mode == "ftml":
         model, history = run_ftml(build_mimic_clients(train, cfg), test,
                                   cfg["rounds"], tc, seed, hidden=cfg["hidden"],
-                                  student_init=cfg["student_init"],
+                                  warm_students=cfg["student_init"] == "warm",
                                   threads=threads)
     else:
         model, history = run_fsml(
@@ -715,6 +714,9 @@ def main(argv=None) -> int:
         return EXIT_BAD_CONFIG
     except FloatingPointError as e:  # a learning rate the data cannot take
         print_error(f"training diverged ({e}); try a lower --lr")
+        return EXIT_BAD_CONFIG
+    except MemoryError as e:  # a --hidden too wide to allocate, say
+        print_error(f"out of memory ({e})" if str(e) else "out of memory")
         return EXIT_BAD_CONFIG
 
 

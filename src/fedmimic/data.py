@@ -313,8 +313,6 @@ class PreprocessPipeline:
 
 def fit_pipeline(records: Records) -> PreprocessPipeline:
     """Fit vocabularies (sorted) and min/max ranges on training records only."""
-    if not len(records):
-        raise ValueError("cannot fit a pipeline on zero records")
     vocabs = {fname: np.unique(col).tolist()
               for fname, col in zip(NOMINAL_FEATURES, records.nominal.T)}
     return PreprocessPipeline(vocabs=vocabs, mins=records.numeric.min(axis=0),
@@ -342,8 +340,6 @@ def split_indices(n: int, test_fraction: float = 0.10,
                   seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Seeded (train, test) index partition; test size rounds to fraction,
     and neither side may be empty."""
-    if not (0.0 < test_fraction < 1.0):
-        raise ValueError(f"test_fraction must be in (0,1), got {test_fraction}")
     n_test = int(round(n * test_fraction))
     if not 0 < n_test < n:
         raise ValueError(f"test_fraction {test_fraction} splits {n} rows into "
@@ -371,8 +367,6 @@ def shard_clients(train: Dataset, num_clients: int = 10,
 def split_private_public(pool: Dataset, private_fraction: float = 0.60,
                          seed: int = 0) -> tuple[Dataset, PublicSet]:
     """Private labeled portion for teachers, public unlabeled remainder."""
-    if not (0.0 < private_fraction < 1.0):
-        raise ValueError(f"private_fraction must be in (0,1), got {private_fraction}")
     n = len(pool)
     n_private = int(round(n * private_fraction))
     order = np.random.default_rng(seed).permutation(n)

@@ -146,15 +146,10 @@ def rfe(X: np.ndarray, targets: np.ndarray, target_k: int,
     runs FIRST_EPOCHS from zero; each later one starts from the last fit's
     weights and bias, at zero velocity, and runs REFIT_EPOCHS. The fits run
     in float32, prep's dtype. Returns each target's survivors in
-    original-index order."""
+    original-index order. The caller keeps ``1 <= target_k <= X.shape[1]``
+    and ``step >= 1``; the command line checks both."""
     X = np.asarray(X, dtype=np.float32)
     d = X.shape[1]
-    if target_k > d:
-        raise ValueError(f"target_k={target_k} exceeds {d} features")
-    if target_k < 1:
-        raise ValueError(f"target_k must be >= 1, got {target_k}")
-    if step < 1:
-        raise ValueError(f"step must be >= 1, got {step}")
     Y = np.asarray(targets, dtype=np.float64)
     sw = np.stack([inverse_frequency_weights(t) for t in Y])
     alive = np.ones((len(Y), d), dtype=bool)

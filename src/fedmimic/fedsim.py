@@ -285,8 +285,8 @@ def _client_map(step, clients: int, threads: int):
 
 def run_rounds(clients: int, step, test: Dataset, rounds: int, seed: int,
                hidden: int, threads: int,
-               weights: list[float] | None = None,
-               fits_per_client: int = 1) -> tuple[ModelParams, RoundHistory]:
+               weights: list[float] | None = None, fits_per_client: int = 1,
+               agreement: bool = False) -> tuple[ModelParams, RoundHistory]:
     """The round loop of every regime, from the start model seeded by
     ``seed`` (``hidden`` units a layer). Each round runs ``step(global_model,
     c, rnd, prev) -> (local_model, losses, pseudo_labels | None)`` for each
@@ -294,13 +294,12 @@ def run_rounds(clients: int, step, test: Dataset, rounds: int, seed: int,
     averages the local models and records one RoundRecord. The step's
     closure holds the clients' data. ``prev`` is what client ``c``'s step
     returned the round before (None in round 0), so a step keeps no state
-    of its own.
+    of its own. With ``agreement``, the steps' pseudo-labels label the same
+    rows, and each record holds their pseudo_label_agreement.
 
     ``threads`` caps the worker processes the steps run in (see
     ``_client_map``); ``history.workers_peak_rss_mb`` is the largest peak
     memory they reported, None when no worker ran."""
-    if clients < 1:
-        raise ValueError("no clients")
     global_model = init_model(test.X.shape[1], hidden,
                               seed=derive_seed(seed, TAG_INIT))
     history = RoundHistory()
@@ -316,8 +315,8 @@ def run_rounds(clients: int, step, test: Dataset, rounds: int, seed: int,
                 client_losses=[ls[-1] if ls else float("nan")
                                for ls in losses],
                 local_fits=fits_per_client * clients,
-                pseudo_agreement=(None if pseudo[0] is None
-                                  else pseudo_label_agreement(list(pseudo))),
+                pseudo_agreement=(pseudo_label_agreement(list(pseudo))
+                                  if agreement else None),
             ))
     history.workers_peak_rss_mb = max((p for p in peaks if p is not None),
                                       default=None)

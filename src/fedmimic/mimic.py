@@ -15,8 +15,6 @@ from .fedsim import (TAG_CLIENT, TAG_TEACHER, RoundHistory, derive_seed,
 from .metrics import pseudo_label_agreement  # re-exported
 from .nn import ModelParams, TrainConfig, predict, train_local
 
-STUDENT_INIT_POLICIES = ("warm", "global")
-
 
 @dataclass
 class MimicClient:
@@ -46,7 +44,9 @@ def _run_mimic(clients: list[MimicClient], test: Dataset, rounds: int,
     """Both mimic regimes' rounds. Per client, the teacher fits on the private
     shard from the global model, every round (``refit_teachers``) or in round
     0 only, and labels the public set; the student fits on those labels from
-    the client's last student (``warm_students``) or the global model."""
+    the client's last student (``warm_students``) or the global model.
+    Pseudo-label agreement is recorded only when the clients share one
+    public set: labels of different rows do not agree or disagree."""
     config = config or TrainConfig()
 
     def step(global_model, c, rnd, prev):
@@ -58,22 +58,21 @@ def _run_mimic(clients: list[MimicClient], test: Dataset, rounds: int,
         return student, losses, pseudo
 
     return run_rounds(len(clients), step, test, rounds, seed, hidden,
-                      threads, fits_per_client=2 if refit_teachers else 1)
+                      threads, fits_per_client=2 if refit_teachers else 1,
+                      agreement=all(c.public is clients[0].public
+                                    for c in clients))
 
 
 def run_ftml(clients: list[MimicClient], test: Dataset, rounds: int = 20,
              config: TrainConfig | None = None, seed: int = 0,
-             hidden: int = 256, student_init: str = "warm",
+             hidden: int = 256, warm_students: bool = True,
              threads: int = 1) -> tuple[ModelParams, RoundHistory]:
     """Federated teacher mimic learning: every round each client's teacher
     refits from the averaged global model and relabels the public set. The
-    student starts from the client's last student (``"warm"``) or from the
-    global model (``"global"``). Two local fits per client per round."""
-    if student_init not in STUDENT_INIT_POLICIES:
-        raise ValueError(f"unknown student_init policy {student_init!r}")
+    student starts from the client's last student (``warm_students``) or
+    from the global model. Two local fits per client per round."""
     return _run_mimic(clients, test, rounds, config, seed, hidden, threads,
-                      refit_teachers=True,
-                      warm_students=student_init == "warm")
+                      refit_teachers=True, warm_students=warm_students)
 
 
 def run_fsml(clients: list[MimicClient], test: Dataset, rounds: int = 20,

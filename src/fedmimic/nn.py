@@ -93,7 +93,8 @@ class AdamState:
 @dataclass
 class TrainConfig:
     """Training hyperparameters. Defaults follow the simulation parameter table
-    (note the unusual beta1=0.1; pass 0.9 for the conventional Adam)."""
+    (note the unusual beta1=0.1; pass 0.9 for the conventional Adam). Their
+    ranges are checked once, by the command line (cli.RANGES, cli.CHOICES)."""
 
     learning_rate: float = 0.001
     beta1: float = 0.1
@@ -105,29 +106,10 @@ class TrainConfig:
     loss: str = LOSS_MAE
     seed: int = 0
 
-    def validate(self):
-        # dropout keeps a unit with a probability that is a multiple of
-        # 2**-16 (_forward_cached), so it cannot keep less than that
-        if not (0.0 <= self.dropout_rate <= 1.0 - 2.0 ** -16):
-            raise ValueError(f"dropout_rate must be in [0, 1 - 2**-16], got "
-                             f"{self.dropout_rate}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        for name, b in (("beta1", self.beta1), ("beta2", self.beta2)):
-            if not (0.0 <= b < 1.0):
-                raise ValueError(f"{name} must be in [0,1), got {b}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.loss not in (LOSS_MAE, LOSS_XENT):
-            raise ValueError(f"unknown loss kind {self.loss!r}")
-
 
 def init_model(input_dim: int, hidden: int = 256, classes: int = 5,
                seed: int = 0) -> ModelParams:
     """Glorot-uniform weights, zero biases, two hidden layers of `hidden` units."""
-    if input_dim < 1 or hidden < 1 or classes < 1:
-        raise ValueError(f"dimensions must be positive, got "
-                         f"input_dim={input_dim} hidden={hidden} classes={classes}")
     rng = np.random.default_rng(seed)
     dims = [input_dim, hidden, hidden, classes]
     model = ModelParams(zip(dims[:-1], dims[1:]))
@@ -320,7 +302,6 @@ def train_local(model: ModelParams, X: np.ndarray, y: np.ndarray,
     training loss: the loss of each batch's training forward pass (dropout
     on), before that batch's update.
     """
-    config.validate()
     X = np.asarray(X, dtype=model.buf.dtype)
     y = np.asarray(y, dtype=np.int64)
     if X.shape[0] == 0:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmimic import cli
+from fedmimic import cli, fedsim
 from fedmimic.cli import (DATA_ROOT_ENV, DEFAULTS, RANGES,
                           build_mimic_clients, build_parser, load_prep, main,
                           resolve_config, train_config, usable_cpus)
@@ -671,6 +671,35 @@ class TestTrainModes:
         assert proc.stderr.count("\n") == 1
         assert not (workdir / "report.json").exists()
 
+    def test_hidden_too_wide_to_allocate_exit_4_with_one_line(self,
+                                                              workdir):
+        """1e9 hidden units make a parameter vector of about 7 EiB, beyond
+        any address space, so numpy's request fails before any page is
+        touched."""
+        rc, err = _run_main(["--mode", "central", "--out-dir", str(workdir),
+                             "--hidden", "1000000000"])
+        assert rc == 4
+        assert err.startswith("error: out of memory (Unable to allocate")
+        assert err.count("\n") == 1
+        assert not (workdir / "model.fmim").exists()
+
+    def test_memory_error_in_a_client_worker_exit_4_with_one_line(
+            self, workdir, monkeypatch):
+        main_pid = os.getpid()
+
+        def fit_in_a_worker(*args):
+            assert os.getpid() != main_pid  # escapes main if not in a worker
+            np.zeros(10 ** 18)  # about 7 EiB: refused before any page
+
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(fedsim, "train_local", fit_in_a_worker)
+        rc, err = _run_main(["--mode", "fl", "--out-dir", str(workdir),
+                             "--threads", "2"] + TRAIN_FLAGS)
+        assert rc == 4
+        assert err.startswith("error: out of memory (Unable to allocate")
+        assert err.count("\n") == 1
+        assert not (workdir / "model.fmim").exists()
+
     def test_ftml_history_has_double_fit_count_of_fsml(self, workdir,
                                                        tmp_path):
         other = tmp_path / "fsml"
@@ -903,6 +932,19 @@ class TestMimicPool:
             "of the 120 pool rows public\n")
 
 
+    @pytest.mark.parametrize("per_user_public, recorded", [
+        ([], True), (["--per-user-public"], False)],
+        ids=["shared", "per_user"])
+    def test_pseudo_agreement_only_over_a_shared_public_set(
+            self, workdir, per_user_public, recorded):
+        """Clients that each label their own public chunk label different
+        rows, whose labels neither agree nor disagree."""
+        assert main(["--mode", "fsml", "--out-dir", str(workdir)]
+                    + per_user_public + TRAIN_FLAGS) == 0
+        header = (workdir / "history.csv").read_text().splitlines()[0]
+        assert ("pseudo_agreement" in header.split(",")) == recorded
+
+
 class TestCommandLine:
     @pytest.mark.parametrize("argv", [
         ["--mode", "fl", "--rounds", "abc"],
@@ -1049,6 +1091,11 @@ class TestConfigRanges:
                      "--hidden", "1", "--epochs", "0", "--batch", "1",
                      "--dropout", str(1.0 - 2.0 ** -16), "--beta1", "0",
                      "--beta2", "0", "--private-fraction", "1e-9"]) == 0
+
+    def test_every_training_value_is_a_checked_key(self):
+        """train_config reads only keys that check_ranges checks; a KeyError
+        here is a TrainConfig value that skips the one range check."""
+        train_config({key: DEFAULTS[key] for key in (*RANGES, *cli.CHOICES)})
 
 
 JSON_VALUES = st.recursive(

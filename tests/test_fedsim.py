@@ -153,10 +153,6 @@ class TestRunFl:
         assert models_equal(m1, m3)
         assert h1.to_csv() == h3.to_csv()
 
-    def test_empty_shards_rejected(self):
-        with pytest.raises(ValueError):
-            run_fl([], Dataset(*toy_separable(10)), rounds=1)
-
     def test_learns_toy_problem(self):
         shards = make_shards(num_clients=3, per_client=60)
         X, y = toy_separable(60, seed=12)

@@ -109,20 +109,25 @@ class TestFtml:
         clients = make_clients()
         test = Dataset(*toy_separable(20, seed=9))
         outs = {}
-        for policy in ("warm", "global"):
-            outs[policy], _ = run_ftml(clients, test, rounds=2, config=FAST,
-                                       seed=7, hidden=6, student_init=policy)
-        assert not models_equal(outs["warm"], outs["global"])
+        for warm in (True, False):
+            outs[warm], _ = run_ftml(clients, test, rounds=2, config=FAST,
+                                     seed=7, hidden=6, warm_students=warm)
+        assert not models_equal(outs[True], outs[False])
 
-    def test_bad_policy_rejected(self):
-        for policy in ("psychic", "fresh"):
-            with pytest.raises(ValueError, match="unknown student_init"):
-                run_ftml(make_clients(), Dataset(*toy_separable(10)),
-                         rounds=1, student_init=policy)
 
-    def test_empty_clients_rejected(self):
-        with pytest.raises(ValueError):
-            run_ftml([], Dataset(*toy_separable(10)), rounds=1)
+class TestRecordedAgreement:
+    @pytest.mark.parametrize("run", [run_ftml, run_fsml])
+    def test_only_over_one_shared_public_set(self, run):
+        """Clients with their own public rows label different rows, whose
+        labels neither agree nor disagree."""
+        test = Dataset(*toy_separable(20, seed=9))
+        _, shared = run(make_clients(), test, rounds=2, config=FAST, seed=1,
+                        hidden=6)
+        _, own = run(make_clients(shared_public=False), test, rounds=2,
+                     config=FAST, seed=1, hidden=6)
+        assert all(r.pseudo_agreement is not None for r in shared.rounds)
+        assert all(r.pseudo_agreement is None for r in own.rounds)
+        assert "pseudo_agreement" not in own.to_csv().splitlines()[0]
 
 
 class TestFsml:
@@ -162,7 +167,7 @@ class TestFsml:
             m_fsml, _ = run_fsml(clients, test, rounds=rounds, config=FAST,
                                  seed=1, hidden=6)
             m_ftml, _ = run_ftml(clients, test, rounds=rounds, config=FAST,
-                                 seed=1, hidden=6, student_init="global")
+                                 seed=1, hidden=6, warm_students=False)
             assert models_equal(m_fsml, m_ftml) == same
 
     def test_per_round_cost_is_half_of_ftml(self):
