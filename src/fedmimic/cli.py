@@ -33,7 +33,7 @@ from .fedsim import (TAG_MIMIC_POOL, TAG_PRIVATE_PUBLIC, TAG_PRIVATE_SHARDS,
 from .metrics import confusion, per_class_metrics
 from .mimic import MimicClient, run_fsml, run_ftml
 from .modelio import load_model, save_model
-from .nn import TrainConfig, predict
+from .nn import LOSS_MAE, LOSS_XENT, TrainConfig, predict
 
 EXIT_OK = 0
 EXIT_MISSING_INPUT = 2
@@ -72,7 +72,7 @@ DEFAULTS = {
     "beta1": 0.1,
     "beta2": 0.99,
     "dropout": 0.4,
-    "loss": "mae",
+    "loss": LOSS_MAE,
     "k_features": 20,
     "rfe_step": 5,
     "private_fraction": 0.6,
@@ -102,7 +102,7 @@ RANGES = {
     "private_fraction": (0.0, 1.0, "()"),
     "test_fraction": (0.0, 1.0, "()"),
 }
-CHOICES = {"loss": ("mae", "xent"), "student_init": ("warm", "global")}
+CHOICES = {"loss": (LOSS_MAE, LOSS_XENT), "student_init": ("warm", "global")}
 FLAG_HELP = {
     "config": "JSON config file; flags override it",
     "attack_map": "custom attack->class mapping file",

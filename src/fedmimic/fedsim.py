@@ -1,9 +1,9 @@
 """Simulated federated learning: federated averaging, the round loop every
 regime shares, the one context manager that runs client steps in this
 process or in forked worker processes, and plain FL. A client is its
-position in the caller's list. No transport, no stragglers; results do not
-depend on where the steps ran (per-client seeds, client-ordered
-averaging)."""
+position in the caller's list, and its steps run in one process for the
+whole run. No transport, no stragglers; results do not depend on where the
+steps ran (per-client seeds, client-ordered averaging)."""
 
 from __future__ import annotations
 
@@ -168,11 +168,11 @@ class _RemoteTraceback(Exception):
         return self.args[0]
 
 
-def _serve(conn, step):
-    """A worker's loop: for each ``(c, global_model, rnd, prev)`` received,
-    ``step(global_model, c, rnd, prev)`` sent back, or its failure.
-    Stops on None, after sending back its peak_rss_mb(), or when the main
-    process is gone."""
+def _serve(conn, step, clients):
+    """A worker's loop: for each ``(global_model, rnd)`` received, the list of
+    ``step(global_model, c, rnd)`` for each ``c`` in ``clients``, in order,
+    sent back, ending at the first failure. Stops on None, after sending back
+    its peak_rss_mb(), or when the main process is gone."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the main process handles ^C
     controls = openblas_threads()
     if controls is not None:
@@ -185,28 +185,33 @@ def _serve(conn, step):
         if msg is None:
             conn.send(peak_rss_mb())
             return
-        c, global_model, rnd, prev = msg
-        try:
-            reply = step(global_model, c, rnd, prev)
-        except Exception as e:
-            reply = _Failure(e, traceback.format_exc())
-        conn.send(reply)
+        global_model, rnd = msg
+        replies = []
+        for c in clients:
+            try:
+                replies.append(step(global_model, c, rnd))
+            except Exception as e:
+                replies.append(_Failure(e, traceback.format_exc()))
+                break
+        conn.send(replies)
 
 
 @contextmanager
 def _client_map(step, clients: int, threads: int):
-    """Yields ``(map, peaks)``. ``map(global_model, rnd, prevs)`` returns
-    ``step(global_model, c, rnd, prevs[c])`` for each ``c`` in
-    ``range(clients)``, in that order, or raises the first failing client's
-    exception in that order, as the serial loop would; ``peaks`` gets the
-    workers' peak memory (MB) on a clean exit, and stays empty when none ran.
+    """Yields ``(map, peaks)``. ``map(global_model, rnd)`` returns
+    ``step(global_model, c, rnd)`` for each ``c`` in ``range(clients)``, in
+    that order, or raises the first failing client's exception in that
+    order, as the serial loop would; ``peaks`` gets the workers' peak memory
+    (MB) on a clean exit, and stays empty when none ran.
 
-    With ``threads`` > 1 the steps run in up to ``threads`` worker processes
-    forked once for all rounds (processes, because client threads would hand
-    numpy's GIL back and forth thousands of times a fit). A worker that
-    finishes a client takes the next in order, so one on a busier CPU takes
-    fewer. Workers hold BLAS at one thread, this process keeps its count;
-    any error, one while starting them included, terminates them."""
+    With ``threads`` > 1 the steps run in ``n = min(threads, clients)``
+    worker processes forked once for all rounds (processes, because client
+    threads would hand numpy's GIL back and forth thousands of times a fit).
+    Client ``c`` runs in worker ``c % n`` every round, so what its step keeps
+    in its closure stays with it; a worker on a busier CPU still runs all
+    its clients. A round is one message to each worker and one list back.
+    Workers hold BLAS at one thread, this process keeps its count; any
+    error, one while starting them included, terminates them."""
     n, peaks = min(threads, clients), []
     if n > 1:
         # imported here, so that a stage that never forks does not load it
@@ -215,57 +220,50 @@ def _client_map(step, clients: int, threads: int):
             _warn_no_fork()
             n = 1
     if n <= 1:
-        yield (lambda global_model, rnd, prevs: [
-            step(global_model, c, rnd, prevs[c])
-            for c in range(clients)]), peaks
+        yield (lambda global_model, rnd: [step(global_model, c, rnd)
+                                          for c in range(clients)]), peaks
         return
     if openblas_threads() is None:
         _warn_blas_unpinned()
     ctx = multiprocessing.get_context("fork")
-    workers = {}  # connection -> process
+    workers = {}  # connection -> (process, its clients)
 
-    def map_workers(global_model, rnd, prevs):
-        # clients start in order, so every client before a failing one runs
+    def map_workers(global_model, rnd):
+        # each worker runs its clients in order up to its first failure, so
+        # every client before the lowest failing one ran and succeeded
         results, failures = [None] * clients, {}
-        todo = iter(range(clients))
-        running = {}  # connection -> client
-
-        def hand_out(conn):
-            c = next(todo, None)
-            if c is not None and not failures:
-                conn.send((c, global_model, rnd, prevs[c]))
-                running[conn] = c
-
         for conn in workers:
-            hand_out(conn)
-        while running:
-            for conn in multiprocessing.connection.wait(list(running)):
-                c = running.pop(conn)
+            conn.send((global_model, rnd))
+        waiting = list(workers)
+        while waiting:
+            for conn in multiprocessing.connection.wait(waiting):
+                waiting.remove(conn)
+                proc, own = workers[conn]
                 try:
-                    reply = conn.recv()
+                    replies = conn.recv()
                 except EOFError:
-                    proc = workers[conn]
                     proc.join()
                     raise RuntimeError(f"a client worker process exited "
                                        f"(code {proc.exitcode})") from None
-                if isinstance(reply, _Failure):
-                    failures[c] = reply
-                else:
-                    results[c] = reply
-                hand_out(conn)
+                for c, reply in zip(own, replies):
+                    if isinstance(reply, _Failure):
+                        failures[c] = reply
+                    else:
+                        results[c] = reply
         if failures:
             first = failures[min(failures)]
             raise first.exc from _RemoteTraceback(first.tb)
         return results
 
     try:
-        for _ in range(n):
+        for i in range(n):
+            own = range(i, clients, n)
             here, there = ctx.Pipe()
             proc = ctx.Process(target=_serve, daemon=True,
-                               args=(there, step))
+                               args=(there, step, own))
             proc.start()
             there.close()
-            workers[here] = proc
+            workers[here] = proc, own
         yield map_workers, peaks
         for conn in workers:
             conn.send(None)
@@ -274,11 +272,11 @@ def _client_map(step, clients: int, threads: int):
             except EOFError:  # gone after its last client: no report
                 pass
     except BaseException:
-        for proc in workers.values():
+        for proc, _ in workers.values():
             proc.terminate()
         raise
     finally:
-        for conn, proc in workers.items():
+        for conn, (proc, _) in workers.items():
             conn.close()
             proc.join()
 
@@ -289,13 +287,13 @@ def run_rounds(clients: int, step, test: Dataset, rounds: int, seed: int,
                agreement: bool = False) -> tuple[ModelParams, RoundHistory]:
     """The round loop of every regime, from the start model seeded by
     ``seed`` (``hidden`` units a layer). Each round runs ``step(global_model,
-    c, rnd, prev) -> (local_model, losses, pseudo_labels | None)`` for each
-    client ``c`` in ``range(clients)`` (``weights`` follow that order),
-    averages the local models and records one RoundRecord. The step's
-    closure holds the clients' data. ``prev`` is what client ``c``'s step
-    returned the round before (None in round 0), so a step keeps no state
-    of its own. With ``agreement``, the steps' pseudo-labels label the same
-    rows, and each record holds their pseudo_label_agreement.
+    c, rnd) -> (local_model, losses, pseudo_labels | None)`` for each client
+    ``c`` in ``range(clients)`` (``weights`` follow that order), averages
+    the local models and records one RoundRecord. The step's closure holds
+    the clients' data, and any state a client keeps from round to round:
+    client ``c``'s step runs in one process for the whole run. With
+    ``agreement``, the steps' pseudo-labels label the same rows, and each
+    record holds their pseudo_label_agreement.
 
     ``threads`` caps the worker processes the steps run in (see
     ``_client_map``); ``history.workers_peak_rss_mb`` is the largest peak
@@ -304,10 +302,8 @@ def run_rounds(clients: int, step, test: Dataset, rounds: int, seed: int,
                               seed=derive_seed(seed, TAG_INIT))
     history = RoundHistory()
     with _client_map(step, clients, threads) as (map_clients, peaks):
-        results = [None] * clients
         for rnd in range(rounds):
-            results = map_clients(global_model, rnd, results)
-            locals_, losses, pseudo = zip(*results)
+            locals_, losses, pseudo = zip(*map_clients(global_model, rnd))
             global_model = fedavg(list(locals_), weights)
             history.rounds.append(RoundRecord(
                 round=rnd,
@@ -332,7 +328,7 @@ def run_fl(shards: list[Dataset], test: Dataset, rounds: int = 20,
     one round is centralized training."""
     config = config or TrainConfig()
 
-    def fit(global_model, c, rnd, prev):
+    def fit(global_model, c, rnd):
         cfg = replace(config, seed=derive_seed(seed, TAG_CLIENT, c, rnd))
         model, losses = train_local(global_model, shards[c].X, shards[c].y,
                                     cfg)

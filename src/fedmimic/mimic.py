@@ -44,18 +44,23 @@ def _run_mimic(clients: list[MimicClient], test: Dataset, rounds: int,
     """Both mimic regimes' rounds. Per client, the teacher fits on the private
     shard from the global model, every round (``refit_teachers``) or in round
     0 only, and labels the public set; the student fits on those labels from
-    the client's last student (``warm_students``) or the global model.
-    Pseudo-label agreement is recorded only when the clients share one
-    public set: labels of different rows do not agree or disagree."""
+    the client's last student (``warm_students``) or the global model. The
+    labels and last students stay in the step's closure, in the process that
+    runs the client (see ``run_rounds``). Pseudo-label agreement is recorded
+    only when the clients share one public set: labels of different rows do
+    not agree or disagree."""
     config = config or TrainConfig()
+    labels, students = {}, {}  # client -> its teacher's labels, its student
 
-    def step(global_model, c, rnd, prev):
-        pseudo = (_teach(config, seed, global_model, clients[c], c, rnd)
-                  if refit_teachers or prev is None else prev[2])
-        s0 = prev[0] if warm_students and prev is not None else global_model
+    def step(global_model, c, rnd):
+        if refit_teachers or c not in labels:
+            labels[c] = _teach(config, seed, global_model, clients[c], c, rnd)
         s_cfg = replace(config, seed=derive_seed(seed, TAG_CLIENT, c, rnd))
-        student, losses = train_local(s0, clients[c].public.X, pseudo, s_cfg)
-        return student, losses, pseudo
+        student, losses = train_local(students.get(c, global_model),
+                                      clients[c].public.X, labels[c], s_cfg)
+        if warm_students:
+            students[c] = student
+        return student, losses, labels[c]
 
     return run_rounds(len(clients), step, test, rounds, seed, hidden,
                       threads, fits_per_client=2 if refit_teachers else 1,

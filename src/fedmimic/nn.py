@@ -183,29 +183,26 @@ def forward(model: ModelParams, batch: np.ndarray) -> np.ndarray:
 
 
 def loss(probs: np.ndarray, targets: np.ndarray, kind: str = LOSS_MAE) -> float:
-    """MAE = mean|p - t| over all entries; xent = -mean log p[target]."""
+    """MAE = mean|p - t| over all entries; xent = -mean log p[target]. Any
+    ``kind`` but LOSS_MAE is xent: cli.CHOICES admits only the two."""
     probs = np.asarray(probs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if probs.shape != targets.shape:
         raise ValueError(f"probs shape {probs.shape} != targets shape {targets.shape}")
     if kind == LOSS_MAE:
         return float(np.abs(probs - targets).mean())
-    if kind == LOSS_XENT:
-        p = np.clip(probs, _P_MIN, 1.0)
-        return float(-(targets * np.log(p)).sum(axis=1).mean())
-    raise ValueError(f"unknown loss kind {kind!r}")
+    p = np.clip(probs, _P_MIN, 1.0)
+    return float(-(targets * np.log(p)).sum(axis=1).mean())
 
 
 def _loss_grad_wrt_probs(probs, targets, kind):
     b = probs.shape[0]
     if kind == LOSS_MAE:
         return np.sign(probs - targets) / probs.size
-    if kind == LOSS_XENT:
-        p = np.clip(probs, _P_MIN, 1.0)
-        g = -(targets / p) / b
-        g[probs < _P_MIN] = 0.0  # the clamped region is flat
-        return g
-    raise ValueError(f"unknown loss kind {kind!r}")
+    p = np.clip(probs, _P_MIN, 1.0)
+    g = -(targets / p) / b
+    g[probs < _P_MIN] = 0.0  # the clamped region is flat
+    return g
 
 
 def backward(model: ModelParams, batch: np.ndarray, targets: np.ndarray,

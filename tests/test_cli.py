@@ -726,15 +726,25 @@ class TestTrainModes:
         for name in ("report.txt", "history.csv", "model.fmim"):
             assert (workdir / name).read_bytes() == (other / name).read_bytes()
 
-    def test_thread_count_does_not_change_results(self, workdir, tmp_path):
-        other = tmp_path / "threads"
-        shutil.copytree(workdir, other)
-        assert main(["--mode", "ftml", "--out-dir", str(workdir),
-                     "--threads", "1"] + TRAIN_FLAGS) == 0
-        assert main(["--mode", "ftml", "--out-dir", str(other),
-                     "--threads", "3"] + TRAIN_FLAGS) == 0
+    # every regime whose clients keep state across rounds, and fl. With
+    # TRAIN_FLAGS' 3 clients, 2 threads put two clients' labels or students
+    # in one worker, and 3 put each in its own
+    @pytest.mark.parametrize("flags", [
+        ["--mode", "ftml"], ["--mode", "ftml", "--student-init", "global"],
+        ["--mode", "fsml"], ["--mode", "fsml", "--per-user-public"],
+        ["--mode", "fl"]],
+        ids=lambda flags: "-".join(f.lstrip("-") for f in flags[1:]))
+    def test_thread_count_does_not_change_results(self, flags, workdir,
+                                                  tmp_path):
+        outs = [workdir]
+        for threads in ("2", "3"):
+            outs.append(tmp_path / threads)
+            shutil.copytree(workdir, outs[-1])
+        for out, threads in zip(outs, ("1", "2", "3")):
+            assert main(flags + ["--out-dir", str(out), "--threads", threads]
+                        + TRAIN_FLAGS) == 0
         for name in ("report.txt", "history.csv", "model.fmim"):
-            assert (workdir / name).read_bytes() == (other / name).read_bytes()
+            assert len({(out / name).read_bytes() for out in outs}) == 1
 
     @pytest.mark.parametrize("mode", ["fl", "ftml"])
     def test_default_threads_write_the_digests_of_one_thread(self, mode,

@@ -209,7 +209,7 @@ class TestClientPool:
                           seed=0, hidden=6, threads=threads)
 
     def test_blas_at_one_thread_inside_and_restored_after(self, blas):
-        def step(global_model, c, rnd, prev):
+        def step(global_model, c, rnd):
             # a worker's side effects stay in it, so report through losses
             return global_model.copy(), [float(blas())], None
 
@@ -222,7 +222,7 @@ class TestClientPool:
             [2.0, 2.0, 2.0]] * 2
 
     def test_blas_restored_after_a_step_raises(self, blas):
-        def step(global_model, c, rnd, prev):
+        def step(global_model, c, rnd):
             assert blas() == 1
             if c == 1:
                 raise RuntimeError("client failed")
@@ -255,7 +255,7 @@ class TestClientPool:
                             lambda: ["spawn"])
         pids = []
 
-        def step(global_model, c, rnd, prev):
+        def step(global_model, c, rnd):
             pids.append(os.getpid())
             return global_model.copy(), [0.0], None
 
@@ -268,31 +268,52 @@ class TestClientPool:
         assert capsys.readouterr().err.count("warning: no fork") == 1
 
     def test_first_failing_client_in_order_raises(self):
-        def step(global_model, c, rnd, prev):
-            if rnd == 1 and c >= 3:
-                if c == 3:  # so that client 4 fails first
-                    time.sleep(0.3)
-                raise ValueError(f"client {c}")
-            return global_model.copy(), [0.0], None
+        # two clients fail in round 1; the lower-indexed one sleeps first,
+        # so that the other fails first. At two threads clients 0, 2, 4 run
+        # in the first worker and 1, 3 in the second: in the second case the
+        # failure to raise comes from the second worker
+        for failing in ((3, 4), (1, 2)):
+            def step(global_model, c, rnd):
+                if rnd == 1 and c in failing:
+                    if c == failing[0]:
+                        time.sleep(0.3)
+                    raise ValueError(f"client {c}")
+                return global_model.copy(), [0.0], None
 
-        for threads in (1, 2, 4):
-            with pytest.raises(ValueError, match="client 3"):
-                self.rounds(step, threads, clients=5)
+            for threads in (1, 2, 4):
+                with pytest.raises(ValueError, match=f"client {failing[0]}"):
+                    self.rounds(step, threads, clients=5)
         assert multiprocessing.active_children() == []
 
-    def test_prev_is_the_clients_last_result(self):
-        def step(global_model, c, rnd, prev):
-            assert (prev is None) == (rnd == 0)
-            n = c if prev is None else prev[1][0] + 100.0
-            return global_model.copy(), [float(n)], None
+    def test_a_client_runs_in_one_process(self):
+        for threads in (1, 2, 4):
+            seen = {}  # client -> rounds its process has run it
 
-        for threads in (1, 2):
+            def step(global_model, c, rnd):
+                # slow clients, so that a pool which gave the next client
+                # to whichever worker was free would move clients around
+                if (c, rnd) in ((1, 0), (2, 1)):
+                    time.sleep(0.3)
+                seen[c] = seen.get(c, 0) + 1
+                # a worker's side effects stay in it, so report through
+                # the last loss: the pid, and the client's count before
+                # this round
+                return (global_model.copy(),
+                        [float(10 * os.getpid() + seen[c] - 1)], None)
+
             _, history = self.rounds(step, threads, rounds=3, clients=5)
-            assert [r.client_losses for r in history.rounds] == [
-                [c + 100.0 * rnd for c in range(5)] for rnd in range(3)]
+            reports = [r.client_losses for r in history.rounds]
+            pids = [[int(v) // 10 for v in vs] for vs in reports]
+            assert pids == [pids[0]] * 3
+            assert [[int(v) % 10 for v in vs] for vs in reports] == [
+                [rnd] * 5 for rnd in range(3)]
+            if threads == 1:
+                assert pids[0] == [os.getpid()] * 5
+            else:
+                assert len(set(pids[0])) == min(threads, 5)
 
     def test_a_worker_that_dies_raises(self):
-        def step(global_model, c, rnd, prev):
+        def step(global_model, c, rnd):
             if c == 1:
                 os._exit(3)
             time.sleep(30)  # the other worker is stopped, not waited for
@@ -314,7 +335,7 @@ class TestClientPool:
                 raise OSError("cannot fork")
             start(proc)
 
-        def step(global_model, c, rnd, prev):
+        def step(global_model, c, rnd):
             return global_model.copy(), [0.0], None
 
         monkeypatch.setattr(ForkProcess, "start", second_start_fails)
