@@ -41,8 +41,6 @@ EXIT_MISSING_PREP = 3
 EXIT_BAD_CONFIG = 4
 EXIT_FORMAT = 5
 
-DATA_ROOT_ENV = "FEDMIMIC_DATA_ROOT"
-
 MODES = ("prep", "select", "central", "fl", "ftml", "fsml", "eval")
 
 
@@ -80,7 +78,6 @@ DEFAULTS = {
     "threads": usable_cpus(),  # cmd_train caps it at the usable CPUs
     "hidden": 256,
     "test_fraction": 0.1,
-    "official_split": False,
     "per_user_public": False,
     "mimic_full_data": False,
     "out_dir": "out",
@@ -108,8 +105,6 @@ FLAG_HELP = {
     "attack_map": "custom attack->class mapping file",
     "model_file": "model to evaluate (mode=eval)",
     "history_file": "history.csv to re-emit as an accuracy series (mode=eval)",
-    "official_split": "use the given train/test files as-is instead of "
-                      "re-splitting the combined corpus",
     "per_user_public": "give each mimic client its own public shard",
     "mimic_full_data": "mimic pool = whole training set instead of "
                        "clients x samples-per-client",
@@ -352,15 +347,6 @@ def write_runmeta(out: Artifacts, cfg: dict, wall_s: float,
     out.write_text("runmeta.json", json.dumps(meta, indent=1, sort_keys=True))
 
 
-def _resolve_dataset_path(cfg: dict, key: str, default_name: str) -> Path | None:
-    if cfg[key]:
-        return Path(cfg[key])
-    root = os.environ.get(DATA_ROOT_ENV)
-    if root and os.path.exists(Path(root) / default_name):
-        return Path(root) / default_name
-    return None
-
-
 def read_labelled(path: Path, mapping: dict) -> tuple[Records, np.ndarray]:
     """The records of one corpus file, read as UTF-8, and their classes. A
     parse or label error, a byte that does not decode and a file with no
@@ -378,21 +364,18 @@ def read_labelled(path: Path, mapping: dict) -> tuple[Records, np.ndarray]:
 
 
 def read_split(cfg: dict, train_path: Path, test_path: Path | None):
-    """(train, train_y, test, test_y): the given files as they are with
-    --official-split, else a seeded re-split of all their rows."""
+    """(train, train_y, test, test_y, corpus_y): the test file as it is when
+    given, else the seeded cut of the training file at ``test_fraction``.
+    ``corpus_y`` is the class of every row of the training file."""
     mapping = load_attack_mapping(
         input_file(cfg["attack_map"], "attack map") if cfg["attack_map"]
         else None)
-    files = [read_labelled(p, mapping) for p in (train_path, test_path) if p]
-    if cfg["official_split"]:
-        if len(files) < 2:
-            raise MissingInput("--official-split requires --test-file")
-        (train, train_y), (test, test_y) = files
-        return train, train_y, test, test_y
-    corpus = Records.concat([r for r, _ in files])
-    y = np.concatenate([y for _, y in files])
+    corpus, y = read_labelled(train_path, mapping)
+    if test_path is not None:
+        test, test_y = read_labelled(test_path, mapping)
+        return corpus, y, test, test_y, y
     tr, te = split_indices(len(corpus), cfg["test_fraction"], cfg["seed"])
-    return corpus.take(tr), y[tr], corpus.take(te), y[te]
+    return corpus.take(tr), y[tr], corpus.take(te), y[te], y
 
 
 # a stage's summary lines and the largest peak memory (MB) of its client
@@ -423,16 +406,14 @@ def cmd_prep(cfg: dict, out: Artifacts) -> StageResult:
                          f"{e}") from None
     if not existing.is_dir():
         raise ValueError(f"--out-dir {out_dir} is not a directory")
-    train_path = _resolve_dataset_path(cfg, "train_file", "KDDTrain+.txt")
-    if train_path is None:
-        raise MissingInput(f"no training file: pass --train-file or set "
-                           f"${DATA_ROOT_ENV}")
-    train_path = input_file(train_path, "training file")
-    test_path = _resolve_dataset_path(cfg, "test_file", "KDDTest+.txt")
-    if test_path is not None:
-        test_path = input_file(test_path, "test file")
+    if not cfg["train_file"]:
+        raise MissingInput("no training file: pass --train-file")
+    train_path = input_file(cfg["train_file"], "training file")
+    test_path = (input_file(cfg["test_file"], "test file")
+                 if cfg["test_file"] else None)
 
-    train, train_y, test, test_y = read_split(cfg, train_path, test_path)
+    train, train_y, test, test_y, corpus_y = read_split(cfg, train_path,
+                                                        test_path)
     pipeline = fit_pipeline(train)
     train_X = apply_pipeline(pipeline, train)
     test_X = apply_pipeline(pipeline, test)
@@ -444,7 +425,7 @@ def cmd_prep(cfg: dict, out: Artifacts) -> StageResult:
             np.save(f, array)
     out.write_text("pipeline.json", pipeline.to_json())
 
-    observed = class_counts(np.concatenate([train_y, test_y]))
+    observed = class_counts(corpus_y)
     manifest = {
         "n_train": len(train),
         "n_test": len(test),

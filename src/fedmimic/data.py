@@ -81,11 +81,6 @@ class Records:
     def take(self, idx) -> "Records":
         return Records(*(getattr(self, f.name)[idx] for f in fields(self)))
 
-    @classmethod
-    def concat(cls, parts: list["Records"]) -> "Records":
-        return cls(*(np.concatenate([getattr(p, f.name) for p in parts])
-                     for f in fields(cls)))
-
 
 @dataclass
 class Dataset:

@@ -1,6 +1,3 @@
-import os
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -73,13 +70,3 @@ def toy_separable(n=200, d=4, seed=1, margin=1.0):
     X[:, 0] = np.where(y == 1, margin, -margin) + rng.uniform(-0.3, 0.3, n)
     return X, y
 
-
-@pytest.fixture
-def nslkdd_dir():
-    """Directory with the official KDDTrain+.txt (and optionally KDDTest+.txt);
-    full-dataset acceptance runs skip when unavailable."""
-    root = os.environ.get("FEDMIMIC_DATA_ROOT")
-    if not root or not (Path(root) / "KDDTrain+.txt").exists():
-        pytest.skip("official NSL-KDD files not available "
-                    "(set FEDMIMIC_DATA_ROOT to run)")
-    return Path(root)

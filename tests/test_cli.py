@@ -17,11 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmimic import cli, fedsim
-from fedmimic.cli import (DATA_ROOT_ENV, DEFAULTS, RANGES,
-                          build_mimic_clients, build_parser, load_prep, main,
-                          resolve_config, train_config, usable_cpus)
+from fedmimic.cli import (DEFAULTS, RANGES, build_mimic_clients,
+                          build_parser, load_prep, main, resolve_config,
+                          train_config, usable_cpus)
 from fedmimic.data import (FEATURE_NAMES, NOMINAL_FEATURES, NUM_FEATURES,
-                           Dataset, load_attack_mapping)
+                           Dataset, class_counts, load_attack_mapping,
+                           map_labels, parse_records)
 from fedmimic.fedsim import openblas_threads, run_fl
 from fedmimic.modelio import load_model
 from fedmimic.nn import init_model
@@ -372,32 +373,30 @@ class TestTextInputs:
 
 
 class TestSplitFiles:
-    """--train-file and --test-file: with --official-split used as they are,
-    else pooled and split again; a file with no records is a format error."""
+    """prep reads --train-file, and --test-file when given: the test file is
+    the test split as it is, else the training file is cut at
+    --test-fraction; a file with no records is a format error."""
 
     @pytest.fixture
-    def files(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(DATA_ROOT_ENV, raising=False)
-        train, test = tmp_path / "train.txt", tmp_path / "test.txt"
+    def files(self, tmp_path):
+        """A training and a test file under the official files' names."""
+        train, test = tmp_path / "KDDTrain+.txt", tmp_path / "KDDTest+.txt"
         train.write_text("\n".join(CORPUS) + "\n")
         test.write_text("\n".join(make_kdd_lines(n=12, seed=5)) + "\n")
         return train, test
 
-    def test_official_split_without_test_file_exit_2(self, files, tmp_path):
-        rc, err = _run_main(["--mode", "prep", "--official-split",
-                             "--train-file", str(files[0]),
-                             "--out-dir", str(tmp_path / "o")])
-        assert rc == 2
-        assert err == "error: --official-split requires --test-file\n"
-        assert not (tmp_path / "o").exists()
+    @pytest.fixture
+    def data_root(self, files, monkeypatch):
+        """FEDMIMIC_DATA_ROOT naming the directory of ``files``, where the
+        acceptance tests look for the official files."""
+        monkeypatch.setenv("FEDMIMIC_DATA_ROOT", str(files[0].parent))
 
     def test_official_split_uses_the_files_as_they_are(self, files,
                                                        tmp_path):
         train, test = files
         out = tmp_path / "o"
-        assert main(["--mode", "prep", "--official-split", "--train-file",
-                     str(train), "--test-file", str(test),
-                     "--out-dir", str(out)]) == 0
+        assert main(["--mode", "prep", "--train-file", str(train),
+                     "--test-file", str(test), "--out-dir", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert (manifest["n_train"], manifest["n_test"]) == (len(CORPUS), 12)
         mapping = load_attack_mapping()
@@ -407,20 +406,44 @@ class TestSplitFiles:
             assert np.load(out / f"{name}_y.npy").tolist() == [
                 int(mapping[label]) for label in labels]
 
-    @pytest.mark.parametrize("official", [False, True],
-                             ids=["resplit", "official"])
+    @pytest.mark.parametrize("with_test_file", [False, True],
+                             ids=["resplit", "test_file"])
+    def test_corpus_counts_are_the_training_files(self, files, tmp_path,
+                                                  with_test_file):
+        train, test = files
+        out = tmp_path / "o"
+        assert main(["--mode", "prep", "--train-file", str(train),
+                     "--out-dir", str(out)]
+                    + ["--test-file", str(test)] * with_test_file) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        with open(train) as f:
+            expected = class_counts(map_labels(parse_records(f)))
+        assert manifest["corpus_class_counts"] == expected
+
+    def test_data_root_adds_no_test_file(self, files, data_root, tmp_path):
+        out = tmp_path / "o"
+        assert main(["--mode", "prep", "--train-file", str(files[0]),
+                     "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["n_train"] + manifest["n_test"] == len(CORPUS)
+
+    def test_no_train_file_exit_2(self, data_root, tmp_path):
+        rc, err = _run_main(["--mode", "prep",
+                             "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert err == "error: no training file: pass --train-file\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("empty, text", [
         ("train", ""), ("train", "\n  \n\n"), ("test", "")],
         ids=["empty_train", "blank_train", "empty_test"])
-    def test_file_with_no_records_exit_5(self, files, tmp_path, official,
-                                         empty, text):
+    def test_file_with_no_records_exit_5(self, files, tmp_path, empty, text):
         train, test = files
         path = {"train": train, "test": test}[empty]
         path.write_text(text)
         rc, err = _run_main(["--mode", "prep", "--train-file", str(train),
                              "--test-file", str(test),
-                             "--out-dir", str(tmp_path / "o")]
-                            + ["--official-split"] * official)
+                             "--out-dir", str(tmp_path / "o")])
         assert rc == 5
         assert err == f"error: {path}: no records\n"
         assert not (tmp_path / "o").exists()
@@ -995,7 +1018,7 @@ class TestConfigFile:
         ({"lr": "0.1"}, "'lr'"),
         ({"lr": False}, "'lr'"),
         ({"train_file": 3}, "'train_file'"),
-        ({"official_split": 1}, "'official_split'"),
+        ({"per_user_public": 1}, "'per_user_public'"),
         ({"loss": 0}, "'loss'"),
         (["rounds"], "JSON object"),
     ])
@@ -1023,11 +1046,15 @@ class TestConfigFile:
         assert capsys.readouterr().err == (
             "error: training file not found: a\\nb\\rc\n")
 
-    def test_unknown_key_rejected(self, workdir, tmp_path):
+    def test_unknown_key_rejected(self, workdir, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"verbosity": 3}))
-        assert main(["--mode", "central", "--out-dir", str(workdir),
-                     "--config", str(cfg)]) == 4
+        # official_split, a key of earlier versions, is unknown too
+        for key, val in (("verbosity", 3), ("official_split", True)):
+            cfg.write_text(json.dumps({key: val}))
+            assert main(["--mode", "central", "--out-dir", str(workdir),
+                         "--config", str(cfg)]) == 4
+            assert capsys.readouterr().err == (
+                f"error: unknown config key {key!r}\n")
 
 
 def _outside(key):
@@ -1148,14 +1175,12 @@ class TestConfigProperties:
         cfg.write_text(json.dumps(doc))  # NaN/Infinity are JSON here
         cwd = base / "cwd"
         cwd.mkdir()
-        old_cwd, data_root = os.getcwd(), os.environ.pop(DATA_ROOT_ENV, None)
+        old_cwd = os.getcwd()
         os.chdir(cwd)
         try:
             rc, err = _run_main(["--mode", "prep", "--config", str(cfg)])
         finally:
             os.chdir(old_cwd)
-            if data_root is not None:
-                os.environ[DATA_ROOT_ENV] = data_root
         assert rc in (2, 4, 5)
         assert err.startswith("error: ") and err.count("\n") == 1
         assert list(cwd.iterdir()) == []
